@@ -11,8 +11,7 @@ from .channel import (ERASED, ErasurePattern, ChannelError, is_admissible,
 from .decoder import (DecodeReport, DecodeCase, SymbolReport, DecoderError,
                       StructuralFailureError, oracle_decode, classify_pattern,
                       decode_arbitrary, decode_burst, decode_structured, deadline_table)
-from .stream import (StreamEncoder, StreamReport, StreamError, stream_encode,
-                     encode_stream, stream_decode, delay_check, simulate,
-                     format_trace, parse_trace)
+from .stream import (StreamEncoder, StreamReport, StreamError, encode_stream,
+                     stream_decode, delay_check, simulate, format_trace, parse_trace)
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ class ChannelError(ValueError):
     pass
 
 
-class BudgetError(ChannelError):
-    """Raised when exhaustive enumeration would exceed its budget."""
+class BudgetError(ValueError):
+    """Raised when an exhaustive enumeration or check would exceed its budget."""
 
 
 class _Erased:

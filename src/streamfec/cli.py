@@ -2,40 +2,22 @@
 
 Exit codes: 0 on success, 1 when a verification or simulation found
 failures, 2 on parameter errors.  All output is deterministic given the
-flags and seed.  STREAMCODE_THREADS caps worker threads for verify and
-simulate fan-out (default 1); results are merged in canonical order.
+flags and seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .channel import BudgetError, ErasurePattern, apply, enumerate_block_patterns
-from .construction import (ParamError, StreamParams, build_code, capacity,
-                           encode_block, validate_and_derive)
+from .construction import (StreamParams, build_code, capacity, encode_block,
+                           validate_and_derive)
 from .decoder import DecoderError, classify_pattern, decode_structured, oracle_decode
-from .stream import delay_check, simulate
+from .stream import simulate
 
 _EXHAUSTIVE_DEFAULT_MAX_N = 14
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("STREAMCODE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    t = _threads()
-    if t == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(fn, items))
 
 
 def _build(args):
@@ -134,17 +116,19 @@ def cmd_verify(args, gset=None) -> int:
         try:
             patterns = enumerate_block_patterns(d.n, d.T_eff + 1, d.B, d.N)
         except BudgetError as exc:
-            print(f"error: {exc}; use --mode random", file=sys.stderr)
-            return 2
-    else:
+            if args.mode == "exhaustive":
+                print(f"error: {exc}; use --mode random", file=sys.stderr)
+                return 2
+            mode = "random"
+    if mode == "random":
         space = f"~2^{d.n} subsets filtered to <= {d.N} sparse / <= {d.B} burst"
         print(f"random mode: sampling {args.trials} patterns from {space}")
         patterns = _random_block_patterns(d, args.trials, args.seed)
 
     trials = args.trials if mode == "exhaustive" else 5
     failures = []
-    for fails in _pmap(lambda p: _check_pattern(g, p, trials, args.seed), patterns):
-        failures.extend(fails)
+    for p in patterns:
+        failures.extend(_check_pattern(g, p, trials, args.seed))
     print(json.dumps({"patterns_checked": len(patterns), "failures": failures},
                      sort_keys=True))
     return 0 if not failures else 1
@@ -152,12 +136,11 @@ def cmd_verify(args, gset=None) -> int:
 
 def cmd_simulate(args) -> int:
     d, g = _build(args)
-    results = _pmap(lambda t: simulate(g, args.len, args.seed + t),
-                    range(args.trials))
     packets = erased = recovered = 0
     max_latency = 0
     failures = []
-    for trial, (rep, _pat) in enumerate(results):
+    for trial in range(args.trials):
+        rep, _pat = simulate(g, args.len, args.seed + trial)
         packets += rep.packets
         erased += rep.erased_slots
         recovered += rep.recovered()
@@ -230,7 +213,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParamError, BudgetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from .channel import BudgetError
 from .gf import Field, frobenius, alpha_power_basis
 from .matrix import Mat, cauchy_parity
 
 
 class CodeError(ValueError):
     pass
-
-
-class BudgetError(CodeError):
-    """Raised when an exhaustive check would exceed its combinatorial budget."""
 
 
 _VERIFY_MDS_MAX_N = 16

@@ -100,9 +100,6 @@ class GeneratorSet:
     derived: DerivedParams
     G: Mat
     P: Mat
-    P_delta: Mat
-    P_blocks: tuple[Mat, ...]
-    W_mat: Mat
     mds: MdsCode
     mrd: MrdCode
     _plan_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
@@ -127,13 +124,14 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     """Assemble G = [I_k | P] from the Cauchy and Gabidulin constituents.
 
     Parity layout (k rows, B columns):
-      rows [0, delta)          : P_delta in columns [0, N), zero elsewhere
+      rows [0, delta)          : the top delta rows of the Gabidulin parity
+                                 in columns [0, N), zero elsewhere
       rows [delta + jN, ... )  : the N x N Cauchy parity in columns
                                  [delta + jN, delta + (j+1)N), j = 0..M-1
-      rows [B, k)              : W_mat, dense
-    P_delta is the first N columns of the top delta rows of the Gabidulin
-    parity; W_mat is its bottom k - B rows.  All empty bands (delta = 0 or
-    k = B) are genuine 0-row matrices; assembly never branches on emptiness.
+      rows [B, k)              : the bottom k - B rows of the Gabidulin
+                                 parity, dense
+    All empty bands (delta = 0 or k = B) are genuine empty ranges; assembly
+    never branches on emptiness.
     """
     k, B, N, M, delta = d.k, d.B, d.N, d.M, d.delta
     ext = d.field()
@@ -143,31 +141,47 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     mrd = build_gabidulin(k + delta, k - B + delta, ext)
 
     gab_parity = mrd.parity()  # (k - B + delta) x B
-    p_a = gab_parity.select_rows(list(range(delta)))
-    p_b = gab_parity.select_rows(list(range(delta, k - B + delta)))
-    p_delta = p_a.select_columns(list(range(N)))
-
     cauchy = mds.gen.select_columns(list(range(N, 2 * N))).embed_into(ext)
 
     zero = ext.zero
     rows = [[zero] * B for _ in range(k)]
     for i in range(delta):
-        for j in range(N):
-            rows[i][j] = p_delta[i, j]
+        rows[i][:N] = gab_parity.rows[i][:N]
     for blk in range(M):
         off = delta + blk * N
         for i in range(N):
-            for j in range(N):
-                rows[off + i][off + j] = cauchy[i, j]
+            rows[off + i][off:off + N] = cauchy.rows[i]
     for i in range(k - B):
-        for j in range(B):
-            rows[B + i][j] = p_b[i, j]
+        rows[B + i] = list(gab_parity.rows[delta + i])
 
     P = Mat(ext, rows)
     G = Mat.identity(ext, k).hstack(P)
-    return GeneratorSet(derived=d, G=G, P=P, P_delta=p_delta,
-                        P_blocks=tuple(cauchy for _ in range(M)),
-                        W_mat=p_b, mds=mds, mrd=mrd)
+    return GeneratorSet(derived=d, G=G, P=P, mds=mds, mrd=mrd)
+
+
+def evaluate_plan(steps, x, zero):
+    """Sum of coeff * x[pos] over the (pos, coeff) steps of a plan.
+
+    Every linear map of the code is a plan: a parity symbol over the source
+    symbols, a recovered symbol over the received ones.
+    """
+    acc = zero
+    for pos, coeff in steps:
+        acc = acc + coeff * x[pos]
+    return acc
+
+
+def encoder_plan(g: GeneratorSet) -> tuple:
+    """Per parity column c, the steps (i, P[i, c]) with P[i, c] nonzero.
+
+    Compiled once from ``g.P`` and cached on the generator set.
+    """
+    plan = g._plan_cache.get("encoder")
+    if plan is None:
+        plan = tuple(tuple((i, row[c]) for i, row in enumerate(g.P.rows) if row[c])
+                     for c in range(g.P.ncols))
+        g._plan_cache["encoder"] = plan
+    return plan
 
 
 def encode_block(s, g: GeneratorSet):
@@ -176,5 +190,5 @@ def encode_block(s, g: GeneratorSet):
     if len(s) != d.k:
         raise ParamError(f"expected {d.k} source symbols, got {len(s)}")
     ext = g.field()
-    sv = Mat(ext, [[ext(v) for v in s]])
-    return list((sv @ g.G).rows[0])
+    sv = [ext(v) for v in s]
+    return sv + [evaluate_plan(steps, sv, ext.zero) for steps in encoder_plan(g)]

@@ -27,7 +27,7 @@ from typing import Optional
 from .gf import FieldElement
 from .matrix import Mat, NoSolution, Underdetermined
 from .channel import ERASED, ErasurePattern
-from .construction import DerivedParams, GeneratorSet
+from .construction import DerivedParams, GeneratorSet, evaluate_plan
 
 
 class DecoderError(ValueError):
@@ -159,6 +159,7 @@ def oracle_decode(g: GeneratorSet, y, T_eff: Optional[int] = None) -> DecodeRepo
         raise DecoderError(f"expected {d.n} received symbols, got {len(y)}")
     erased = _erased_positions(y)
     plan = oracle_plan(g, erased)
+    zero = g.field().zero
     out = []
     for i in range(d.k):
         dl = _deadline(i, T_eff, d.n)
@@ -167,10 +168,7 @@ def oracle_decode(g: GeneratorSet, y, T_eff: Optional[int] = None) -> DecodeRepo
             out.append(SymbolReport(i, "failed", None, hit[0] if hit else None, dl))
             continue
         t, steps = hit
-        val = g.field().zero
-        for pos, coeff in steps:
-            val = val + coeff * y[pos]
-        out.append(SymbolReport(i, "recovered", val, t, dl))
+        out.append(SymbolReport(i, "recovered", evaluate_plan(steps, y, zero), t, dl))
     return DecodeReport(tuple(out))
 
 

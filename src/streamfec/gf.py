@@ -331,10 +331,6 @@ class Field:
             raise FieldError(f"expected {self.m} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
 
-    def element(self, coeffs: tuple[int, ...]) -> FieldElement:
-        """Fast path: coeffs already reduced and of length m."""
-        return FieldElement(self, coeffs)
-
     def from_text(self, text: str) -> FieldElement:
         return self(tuple(int(t) for t in text.split(",")))
 

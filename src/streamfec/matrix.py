@@ -11,7 +11,7 @@ explicitly so degenerate shapes survive slicing and stacking.
 from __future__ import annotations
 
 import json
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .gf import GF, Field, FieldElement, FieldMismatchError
 
@@ -86,10 +86,6 @@ class Mat:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def row_vector(cls, field: Field, values: Sequence) -> "Mat":
-        return cls(field, [[field(v) for v in values]], len(values))
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -125,9 +121,6 @@ class Mat:
         if field is self.field:
             return self
         return Mat(field, [[field.embed(v) for v in r] for r in self.rows], self._ncols)
-
-    def map(self, fn: Callable[[FieldElement], FieldElement]) -> "Mat":
-        return Mat(self.field, [[fn(v) for v in r] for r in self.rows], self._ncols)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -16,12 +16,29 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
-from .construction import GeneratorSet
+from .construction import GeneratorSet, encoder_plan, evaluate_plan
 from .decoder import oracle_plan, _deadline
 
 
 class StreamError(ValueError):
     pass
+
+
+class _Diagonal:
+    """Codeword view of the diagonal starting at slot ``start`` of a packet
+    list: position ``pos`` is symbol ``pos`` of packet ``start + pos``.
+    Slots before the list starts hold virtual zero symbols (cold start)."""
+
+    __slots__ = ("packets", "start", "zero")
+
+    def __init__(self, packets: Sequence, start: int, zero):
+        self.packets = packets
+        self.start = start
+        self.zero = zero
+
+    def __getitem__(self, pos: int):
+        t = self.start + pos
+        return self.packets[t][pos] if t >= 0 else self.zero
 
 
 class StreamEncoder:
@@ -45,27 +62,15 @@ class StreamEncoder:
         ext = self.g.field()
         s_now = [ext(v) for v in symbols]
         out = list(s_now)
-        # row j >= k mixes s_{t-j+i}[i]; history index for time t - u is -u
-        past = list(self.history) + [s_now]  # time t-(n-1) .. t
-        for j in range(d.k, d.n):
-            acc = ext.zero
-            col = j - d.k
-            for i in range(d.k):
-                pe = self.g.P[i, col]
-                if pe:
-                    src = past[d.n - 1 - j + i]  # packet at time t - j + i
-                    acc = acc + src[i] * pe
-            out.append(acc)
+        # row j >= k is parity j of the diagonal starting at t - j, which
+        # sits at index n - 1 - j of the packets for times t-(n-1) .. t
+        past = list(self.history) + [s_now]
+        for col, steps in enumerate(encoder_plan(self.g)):
+            diag = _Diagonal(past, d.n - 1 - (d.k + col), ext.zero)
+            out.append(evaluate_plan(steps, diag, ext.zero))
         self.history.append(s_now)
         self.time += 1
         return out
-
-
-def stream_encode(s: Sequence, state: StreamEncoder, g: GeneratorSet) -> list:
-    """Functional wrapper over :class:`StreamEncoder` for one packet."""
-    if state.g is not g:
-        raise StreamError("encoder state belongs to a different generator set")
-    return state.push(s)
 
 
 def encode_stream(packets: Sequence[Sequence], g: GeneratorSet, flush: bool = True) -> list:
@@ -130,12 +135,12 @@ def stream_decode(received: Sequence, g: GeneratorSet,
         raise StreamError("stream too short for the requested source packet count")
     erased = {t for t, p in enumerate(received) if p is ERASED}
 
-    ext = g.field()
     packets = [[None] * k for _ in range(num_source)] if values else None
     sym_latency = [[None] * k for _ in range(num_source)]
 
     # Diagonals starting before t = 0 carry virtual zero symbols in their
     # early systematic positions (cold start); they are treated as received.
+    zero = g.field().zero
     for d in range(-(k - 1), num_source):
         pat = _diagonal_erasures(erased, d, n)
         plan = oracle_plan(g, pat)
@@ -149,11 +154,7 @@ def stream_decode(received: Sequence, g: GeneratorSet,
             rt, steps = hit
             sym_latency[t_src][j] = rt - j
             if values:
-                acc = ext.zero
-                for pos, coeff in steps:
-                    if d + pos >= 0:
-                        acc = acc + coeff * received[d + pos][pos]
-                packets[t_src][j] = acc
+                packets[t_src][j] = evaluate_plan(steps, _Diagonal(received, d, zero), zero)
 
     failures = []
     lat = []
@@ -188,22 +189,20 @@ def simulate(g: GeneratorSet, length: int, seed: int,
     import random
 
     d = g.derived
-    pat = sample_stream_pattern(length + d.n - 1, d.W, d.B, d.N, seed)
+    horizon = length + d.n - 1
+    pat = sample_stream_pattern(horizon, d.W, d.B, d.N, seed)
     if values:
         rng = rng_source or random.Random(seed ^ 0x5EED)
         ext = g.field()
         src = [[ext.random_element(rng) for _ in range(d.k)] for _ in range(length)]
         sent = encode_stream(src, g)
-        received = apply(sent, pat)
-        decoded, report = stream_decode(received, g, num_source=length)
-        for t in range(length):
-            if t in report.failures:
-                continue
-            if decoded[t] != src[t]:
-                raise StreamError(f"value mismatch at packet {t}")
     else:
-        received = [ERASED if t in set(pat.erased) else () for t in range(length + d.n - 1)]
-        _, report = stream_decode(received, g, num_source=length, values=False)
+        sent = [()] * horizon
+    decoded, report = stream_decode(apply(sent, pat), g, num_source=length, values=values)
+    if values:
+        for t in range(length):
+            if t not in report.failures and decoded[t] != src[t]:
+                raise StreamError(f"value mismatch at packet {t}")
     return report, pat
 
 

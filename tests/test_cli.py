@@ -80,6 +80,24 @@ class TestVerify:
         assert summary["patterns_checked"] == 20
         assert summary["failures"] == []
 
+    def test_default_mode_falls_back_to_random(self, capsys):
+        # N = 5 exceeds the enumeration budget although n = 10 is small
+        code, out, _ = run(capsys, "verify", "--W", "10", "--T", "9", "--B", "5", "--N", "5",
+                           "--trials", "4")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("random mode: sampling 4 patterns")
+        summary = json.loads(lines[-1])
+        assert summary["patterns_checked"] == 4
+        assert summary["failures"] == []
+
+    def test_explicit_exhaustive_over_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--W", "10", "--T", "9", "--B", "5", "--N", "5",
+                             "--mode", "exhaustive")
+        assert code == 2
+        assert out == ""
+        assert "use --mode random" in err
+
     def test_mutated_generator_exits_1(self, capsys, ex1):
         ext = ex1.field()
         d = ex1.derived
@@ -143,17 +161,3 @@ class TestExport:
         obj = json.loads(path.read_text())
         assert Mat.from_json_obj(obj["G"]) == ex1.G
 
-
-class TestThreads:
-    def test_worker_fanout_matches_serial(self, capsys, monkeypatch):
-        base = ["verify", "--W", "10", "--T", "9", "--B", "5", "--N", "3", "--trials", "1"]
-        monkeypatch.delenv("STREAMCODE_THREADS", raising=False)
-        _, serial, _ = run(capsys, *base)
-        monkeypatch.setenv("STREAMCODE_THREADS", "4")
-        _, threaded, _ = run(capsys, *base)
-        assert serial == threaded
-
-    def test_garbage_env_falls_back(self, capsys, monkeypatch):
-        monkeypatch.setenv("STREAMCODE_THREADS", "not-a-number")
-        code, out, _ = run(capsys, "capacity", "--T", "9", "--B", "5", "--N", "3")
-        assert code == 0

@@ -4,8 +4,7 @@ import pytest
 
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, delay_check, encode_stream,
-                              format_trace, parse_trace, simulate, stream_decode,
-                              stream_encode)
+                              format_trace, parse_trace, simulate, stream_decode)
 from streamfec.construction import encode_block
 
 
@@ -57,13 +56,6 @@ class TestEncoder:
         enc = StreamEncoder(ex1)
         with pytest.raises(StreamError):
             enc.push([ex1.field().zero] * 6)
-
-    def test_functional_wrapper_checks_owner(self, ex1, ex2):
-        enc = StreamEncoder(ex1)
-        with pytest.raises(StreamError):
-            stream_encode([ex2.field().zero] * 9, enc, ex2)
-        out = stream_encode([ex1.field().zero] * 7, enc, ex1)
-        assert len(out) == 12
 
 
 class TestDecode:
