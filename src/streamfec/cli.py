@@ -53,7 +53,7 @@ def _check_pattern(g, pattern, trials, seed):
     """Oracle + structured decode over random source blocks; returns failure dicts."""
     d = g.derived
     ext = g.field()
-    rng = random.Random((seed, pattern.erased).__hash__() & 0xFFFFFFFF)
+    rng = random.Random(f"{seed}:{pattern.to_text()}")
     case = classify_pattern(pattern, d)
     fails = []
     for trial in range(trials):
@@ -185,7 +185,9 @@ def make_parser() -> argparse.ArgumentParser:
     add_params(p)
     p.add_argument("--mode", choices=["exhaustive", "random"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=int, default=5,
+                   help="exhaustive mode: random source blocks per pattern; "
+                        "random mode: number of patterns, 5 blocks each")
     p.add_argument("--erase", help="single pattern: comma-separated erased positions")
     p.set_defaults(fn=cmd_verify)
 

@@ -2,11 +2,12 @@
 
 Two decoders over the same generator set:
 
-* ``oracle_decode`` is the ground truth.  It replays the causal reveal of
-  codeword positions and reports, for every source symbol, the earliest
-  time at which Gaussian elimination pins the symbol uniquely.  The
-  elimination result is cached per erasure pattern as a recovery plan
-  (positions and coefficients), so repeated decodes of the same pattern
+* ``oracle_decode`` is the ground truth.  ``oracle_plan`` reduces the
+  received columns of G, in arrival order, beside an identity block with
+  one ``Mat.rref``; the result is, for every source symbol, the earliest
+  time at which the received symbols pin it uniquely and the linear
+  combination of received positions that yields it.  This recovery plan
+  is cached per erasure pattern, so repeated decodes of the same pattern
   cost one linear combination per symbol.
 
 * ``decode_arbitrary`` / ``decode_burst`` form the structured decoder.
@@ -78,6 +79,15 @@ def _deadline(i: int, T_eff: int, n: int) -> int:
     return min(i + T_eff, n - 1)
 
 
+def _report(g: GeneratorSet, times: dict, vals: dict) -> DecodeReport:
+    """One SymbolReport per source symbol: recovered iff it has a value."""
+    d = g.derived
+    return DecodeReport(tuple(
+        SymbolReport(i, "recovered" if i in vals else "failed", vals.get(i),
+                     times.get(i), _deadline(i, d.T_eff, d.n))
+        for i in range(d.k)))
+
+
 # ---------------------------------------------------------------------------
 # Oracle decoder
 # ---------------------------------------------------------------------------
@@ -89,87 +99,50 @@ def _erased_positions(y) -> frozenset[int]:
 def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     """Recovery plan for an erasure pattern: i -> (time, ((pos, coeff), ...)).
 
-    The plan depends only on the pattern, not on the symbol values: symbol i
-    is a fixed linear combination of the received positions, valid for every
-    source block by linearity.  Cached on the generator set.
+    One reduction of [G_R | I_k], with G_R the received columns of G in
+    arrival order, gives [R | E] with E @ G_R = R.  The pivot columns of R
+    are the earliest basis of the received columns.  Symbol i is
+    recoverable iff column i of E vanishes below the rank; then
+    e_i = sum_l E[l, i] * (l-th basis column), a combination that is unique
+    over the basis, and its time is the arrival of the last basis column it
+    uses.  The plan depends only on the pattern, not on the symbol values,
+    and is cached on the generator set.
     """
     key = ("oracle", erased)
     cached = g._plan_cache.get(key)
     if cached is not None:
         return cached
 
-    d = g.derived
-    k, n = d.k, d.n
-    ext = g.field()
-    cols = g.G.transpose().rows  # column t of G as a length-k list
-
-    # pivots: pivot row -> (vector over k, combination over received positions)
-    pivots: dict[int, tuple[list, dict]] = {}
-    unresolved = set(range(k))
+    k = g.derived.k
+    received = [t for t in range(g.derived.n) if t not in erased]
+    aug = g.G.select_columns(received).hstack(Mat.identity(g.field(), k))
+    R, pivots = aug.rref()
+    basis = [received[c] for c in pivots if c < len(received)]
     plan: dict[int, tuple[int, tuple]] = {}
-
-    def reduce(vec: list, combo: dict) -> tuple[list, dict]:
-        for r, (pv, pc) in pivots.items():
-            c = vec[r]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, pv)]
-                for pos, coeff in pc.items():
-                    combo[pos] = combo.get(pos, ext.zero) - c * coeff
-        return vec, combo
-
-    for t in range(n):
-        if t in erased:
-            continue
-        vec, combo = reduce(list(cols[t]), {t: ext.one})
-        r0 = next((r for r in range(k) if vec[r]), None)
-        if r0 is None:
-            continue
-        inv = vec[r0].inverse()
-        vec = [v * inv for v in vec]
-        combo = {pos: c * inv for pos, c in combo.items()}
-        # keep existing pivots reduced against the new one
-        for r, (pv, pc) in pivots.items():
-            c = pv[r0]
-            if c:
-                pivots[r] = ([a - c * b for a, b in zip(pv, vec)],
-                             {pos: pc.get(pos, ext.zero) - c * combo.get(pos, ext.zero)
-                              for pos in set(pc) | set(combo)})
-        pivots[r0] = (vec, combo)
-
-        for i in sorted(unresolved):
-            evec = [ext.one if r == i else ext.zero for r in range(k)]
-            rvec, rcombo = reduce(evec, {})
-            if not any(rvec):
-                steps = tuple(sorted((pos, -c) for pos, c in rcombo.items() if c))
-                plan[i] = (t, steps)
-        unresolved -= plan.keys()
-        if not unresolved:
-            break
+    for i in range(k):
+        col = [row[len(received) + i] for row in R.rows]
+        if not any(col[len(basis):]):
+            steps = tuple((pos, c) for pos, c in zip(basis, col) if c)
+            plan[i] = (steps[-1][0], steps)
 
     g._plan_cache[key] = plan
     return plan
 
 
-def oracle_decode(g: GeneratorSet, y, T_eff: Optional[int] = None) -> DecodeReport:
-    """Earliest-time elimination decode of one received block."""
+def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
+    """Earliest-time elimination decode of one received block.
+
+    Late symbols report their recovery time but no value, as failed.
+    """
     d = g.derived
-    if T_eff is None:
-        T_eff = d.T_eff
     if len(y) != d.n:
         raise DecoderError(f"expected {d.n} received symbols, got {len(y)}")
-    erased = _erased_positions(y)
-    plan = oracle_plan(g, erased)
+    plan = oracle_plan(g, _erased_positions(y))
     zero = g.field().zero
-    out = []
-    for i in range(d.k):
-        dl = _deadline(i, T_eff, d.n)
-        hit = plan.get(i)
-        if hit is None or hit[0] > dl:
-            out.append(SymbolReport(i, "failed", None, hit[0] if hit else None, dl))
-            continue
-        t, steps = hit
-        out.append(SymbolReport(i, "recovered", evaluate_plan(steps, y, zero), t, dl))
-    return DecodeReport(tuple(out))
+    times = {i: t for i, (t, _) in plan.items()}
+    vals = {i: evaluate_plan(steps, y, zero) for i, (t, steps) in plan.items()
+            if t <= _deadline(i, d.T_eff, d.n)}
+    return _report(g, times, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +276,6 @@ def _cauchy_solve(g: GeneratorSet, y, vals: dict, block: int,
     return {u: x[pos] for pos, u in enumerate(unknowns)}, k + avail[-1]
 
 
-def _base_report(g: GeneratorSet, y, vals: dict, times: dict) -> DecodeReport:
-    d = g.derived
-    out = []
-    for i in range(d.k):
-        dl = _deadline(i, d.T_eff, d.n)
-        if i in vals:
-            out.append(SymbolReport(i, "recovered", vals[i], times[i], dl))
-        else:
-            out.append(SymbolReport(i, "failed", None, None, dl))
-    return DecodeReport(tuple(out))
-
-
 def decode_structured(g: GeneratorSet, y, case: Optional[DecodeCase] = None) -> DecodeReport:
     """Dispatch to the burst or arbitrary pipeline based on the pattern."""
     d = g.derived
@@ -359,7 +320,7 @@ def decode_arbitrary(g: GeneratorSet, y, case: DecodeCase) -> DecodeReport:
         vals.update(rec)
         for i in rec:
             times[i] = now
-    return _base_report(g, y, vals, times)
+    return _report(g, times, vals)
 
 
 def decode_burst(g: GeneratorSet, y, case: DecodeCase) -> DecodeReport:
@@ -420,7 +381,7 @@ def decode_burst(g: GeneratorSet, y, case: DecodeCase) -> DecodeReport:
         now = max(now, t)
         for i in rec:
             times[i] = now
-    return _base_report(g, y, vals, times)
+    return _report(g, times, vals)
 
 
 def deadline_table(d: DerivedParams) -> dict:

@@ -326,9 +326,11 @@ class Field:
             return self.embed(value)
         if isinstance(value, int):
             return FieldElement(self, (value % self.q,) + (0,) * (self.m - 1))
-        coeffs = tuple(int(c) % self.q for c in value)
+        coeffs = tuple(int(c) for c in value)
         if len(coeffs) != self.m:
             raise FieldError(f"expected {self.m} coefficients, got {len(coeffs)}")
+        if any(not 0 <= c < self.q for c in coeffs):
+            raise FieldError(f"coefficients must be residues in [0, {self.q}), got {coeffs}")
         return FieldElement(self, coeffs)
 
     def from_text(self, text: str) -> FieldElement:

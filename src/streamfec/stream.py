@@ -120,7 +120,8 @@ def stream_decode(received: Sequence, g: GeneratorSet,
                   values: bool = True) -> tuple[Optional[list], StreamReport]:
     """Decode a received channel stream diagonal by diagonal.
 
-    ``received`` holds one channel packet (n symbols) or ERASED per slot.
+    ``received`` holds one channel packet (n symbols) or ERASED per slot;
+    with ``values=True`` a packet of any other width raises StreamError.
     ``num_source`` is the number of real source packets (default: horizon
     minus the n - 1 flush slots).  With ``values=False`` only the recovery
     plan is evaluated (which positions resolve by which time), skipping the
@@ -134,6 +135,10 @@ def stream_decode(received: Sequence, g: GeneratorSet,
     if num_source < 0 or num_source + n - 1 > horizon:
         raise StreamError("stream too short for the requested source packet count")
     erased = {t for t, p in enumerate(received) if p is ERASED}
+    if values:
+        bad = next((t for t, p in enumerate(received) if p is not ERASED and len(p) != n), None)
+        if bad is not None:
+            raise StreamError(f"packet {bad} has {len(received[bad])} symbols, expected {n}")
 
     packets = [[None] * k for _ in range(num_source)] if values else None
     sym_latency = [[None] * k for _ in range(num_source)]
@@ -180,7 +185,7 @@ def delay_check(report: StreamReport, T_eff: Optional[int] = None) -> bool:
 
 
 def simulate(g: GeneratorSet, length: int, seed: int,
-             values: bool = True, rng_source=None) -> tuple[StreamReport, ErasurePattern]:
+             values: bool = True) -> tuple[StreamReport, ErasurePattern]:
     """One seeded end-to-end run: sample pattern, encode, erase, decode.
 
     With ``values=True`` the decoded packets are checked against the sent
@@ -192,7 +197,7 @@ def simulate(g: GeneratorSet, length: int, seed: int,
     horizon = length + d.n - 1
     pat = sample_stream_pattern(horizon, d.W, d.B, d.N, seed)
     if values:
-        rng = rng_source or random.Random(seed ^ 0x5EED)
+        rng = random.Random(seed ^ 0x5EED)
         ext = g.field()
         src = [[ext.random_element(rng) for _ in range(d.k)] for _ in range(length)]
         sent = encode_stream(src, g)

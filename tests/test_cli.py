@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +162,21 @@ class TestExport:
         obj = json.loads(path.read_text())
         assert Mat.from_json_obj(obj["G"]) == ex1.G
 
+
+EX1 = ["--W", "10", "--T", "9", "--B", "5", "--N", "3"]
+EX2 = ["--W", "11", "--T", "10", "--B", "4", "--N", "2"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("build_ex1", ["build", *EX1]),
+    ("build_ex2", ["build", *EX2]),
+    ("export_ex1", ["export", *EX1]),
+    ("export_ex2", ["export", *EX2]),
+    ("verify_erase_ex1", ["verify", *EX1, "--erase", "0,1,2,3,4"]),
+    ("simulate_ex1", ["simulate", *EX1, "--len", "60", "--trials", "3", "--seed", "11"]),
+])
+def test_golden_stdout(capsys, name, argv):
+    """Stdout is byte-identical to the output recorded in tests/golden."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()

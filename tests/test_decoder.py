@@ -1,14 +1,17 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from streamfec.channel import ErasurePattern, apply, enumerate_block_patterns
-from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
+from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
+                                    validate_and_derive)
 from streamfec.decoder import (DecodeCase, DecoderError, StructuralFailureError,
                                classify_pattern, deadline_table, decode_arbitrary,
                                decode_burst, decode_structured, oracle_decode,
                                oracle_plan)
+from streamfec.matrix import Mat
 
 from conftest import random_block
 
@@ -69,6 +72,63 @@ class TestOracle:
             oracle_decode(ex1, [ex1.field().zero] * 5)
 
 
+SMALL_CODES = [(2, 1, 1, 1), (6, 5, 3, 3), (6, 5, 2, 2), (5, 4, 2, 1)]
+
+
+def unit(g, i):
+    f = g.field()
+    return [f.one if r == i else f.zero for r in range(g.derived.k)]
+
+
+def plan_column(g, steps):
+    """sum of coeff * G[:, pos] over the steps, as a length-k list."""
+    zero = g.field().zero
+    return [evaluate_plan(steps, row, zero) for row in g.G.rows]
+
+
+def in_column_span(g, positions, v):
+    cols = g.G.select_columns(sorted(positions))
+    return cols.rank() == cols.hstack(Mat(g.field(), [[x] for x in v], 1)).rank()
+
+
+class TestOraclePlanByRank:
+    """Oracle plans checked against rank facts only, not against how they are built.
+
+    A plan step list with sum coeff * G[:, pos] = e_i decodes symbol i of every
+    source block s, by linearity: sum coeff * (s @ G)[pos] = s @ e_i = s[i].
+    """
+
+    @pytest.mark.parametrize("params", SMALL_CODES)
+    def test_every_erasure_subset_of_small_codes(self, params):
+        g = build_code(validate_and_derive(StreamParams(*params)))
+        d = g.derived
+        for size in range(d.n + 1):
+            for erased in itertools.combinations(range(d.n), size):
+                received = [t for t in range(d.n) if t not in erased]
+                plan = oracle_plan(g, frozenset(erased))
+                for i in range(d.k):
+                    if i not in plan:
+                        assert not in_column_span(g, received, unit(g, i))
+                        continue
+                    t, steps = plan[i]
+                    positions = [pos for pos, _ in steps]
+                    assert positions == sorted(set(positions))
+                    assert set(positions) <= set(received) and max(positions) == t
+                    assert all(c for _, c in steps)
+                    assert plan_column(g, steps) == unit(g, i)
+                    assert not in_column_span(g, [r for r in received if r < t], unit(g, i))
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
+    def test_plans_reproduce_unit_vectors_on_admissible_patterns(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        d = g.derived
+        for p in enumerate_block_patterns(d.n, d.W, d.B, d.N):
+            plan = oracle_plan(g, frozenset(p.erased))
+            assert sorted(plan) == list(range(d.k))
+            for i, (_, steps) in plan.items():
+                assert plan_column(g, steps) == unit(g, i)
+
+
 class TestClassifyPattern:
     def test_long_burst(self, ex1):
         d = ex1.derived
@@ -125,7 +185,7 @@ class TestStructuredMatchesOracle:
                 assert sym.recovery_time <= bounds[i]
 
     def test_small_degenerate_codes(self):
-        for (W, T, B, N) in [(2, 1, 1, 1), (6, 5, 3, 3), (6, 5, 2, 2), (5, 4, 2, 1)]:
+        for (W, T, B, N) in SMALL_CODES:
             g = build_code(validate_and_derive(StreamParams(W, T, B, N)))
             d = g.derived
             rng = random.Random(W * 100 + B)

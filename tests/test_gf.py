@@ -84,6 +84,14 @@ class TestExtensionField:
         assert x.to_text() == "6,0,4"
         assert f.from_text(x.to_text()) == x
 
+    def test_out_of_range_coefficients_rejected(self):
+        f = GF(7, 9)
+        for text in ("9,0,0,0,0,0,0,0,0", "7,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,-1"):
+            with pytest.raises(FieldError):
+                f.from_text(text)
+        assert f.from_text("6,0,0,0,0,0,0,0,0") == f(6)
+        assert GF(7)(9) == GF(7)(2)  # integers keep their modular meaning
+
 
 class TestFrobenius:
     def test_identity_power(self):

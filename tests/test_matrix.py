@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamfec.gf import GF
+from streamfec.gf import GF, FieldError
 from streamfec.matrix import (LinalgError, Mat, NoSolution, Underdetermined,
                               cauchy_parity)
 
@@ -211,6 +211,12 @@ class TestJson:
         rng = random.Random(4)
         a = rand_mat(f7, 2, 2, rng)
         assert Mat.from_json(a.to_json()).to_json() == a.to_json()
+
+    def test_out_of_range_entry_rejected(self, f7):
+        obj = Mat.identity(f7, 2).to_json_obj()
+        obj["entries"][0][1] = [15]
+        with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
 
     def test_zero_row_matrix_round_trip(self, f7):
         a = Mat.zeros(f7, 0, 5)

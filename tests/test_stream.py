@@ -6,6 +6,7 @@ from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, delay_check, encode_stream,
                               format_trace, parse_trace, simulate, stream_decode)
 from streamfec.construction import encode_block
+from streamfec.gf import FieldError
 
 
 def random_packets(g, count, seed):
@@ -117,6 +118,12 @@ class TestDecode:
         assert rep_plan.latencies == rep_vals.latencies
         assert rep_plan.failures == rep_vals.failures
 
+    def test_short_packet_rejected(self, ex1):
+        sent = encode_stream(random_packets(ex1, 5, 12), ex1)
+        sent[3] = sent[3][:4]
+        with pytest.raises(StreamError):
+            stream_decode(sent, ex1)
+
     def test_stream_too_short(self, ex1):
         with pytest.raises(StreamError):
             stream_decode([()] * 5, ex1, num_source=10)
@@ -157,6 +164,10 @@ class TestReport:
 
 
 class TestTrace:
+    def test_out_of_range_coefficient_rejected(self, ex1):
+        with pytest.raises(FieldError):
+            parse_trace("0: 9,0,0,0,0,0,0,0,0\n", ex1.field())
+
     def test_round_trip(self, ex1):
         src = random_packets(ex1, 6, 9)
         sent = encode_stream(src, ex1)
