@@ -21,12 +21,12 @@ codeword = encode_block(source, g)
 for label, erased in [("burst of B=5", range(0, 5)),
                       ("sparse N=3", [0, 4, 9])]:
     pattern = ErasurePattern.make(d.n, erased)
-    case = classify_pattern(pattern, d)
+    kind = classify_pattern(pattern, d)
     y = apply(codeword, pattern)
     orc = oracle_decode(g, y)
-    st = decode_structured(g, y, case)
+    st = decode_structured(g, y, kind)
     assert st.values() == orc.values() == source
-    print(f"{label} -> routed to the {case.kind} pipeline")
+    print(f"{label} -> routed to the {kind} pipeline")
     for i, (o, s) in enumerate(zip(orc.symbols, st.symbols)):
         note = "erased" if i in set(pattern.erased) else "received"
         print(f"  s[{i}] ({note}): oracle t={o.recovery_time}, "

@@ -8,9 +8,8 @@ from .construction import (StreamParams, DerivedParams, GeneratorSet, ParamError
                            capacity, validate_and_derive, build_code, encode_block)
 from .channel import (ERASED, ErasurePattern, ChannelError, is_admissible,
                       enumerate_block_patterns, sample_stream_pattern, apply)
-from .decoder import (DecodeReport, DecodeCase, SymbolReport, DecoderError,
-                      StructuralFailureError, oracle_decode, classify_pattern,
-                      decode_arbitrary, decode_burst, decode_structured, deadline_table)
+from .decoder import (DecodeReport, SymbolReport, DecoderError, StructuralFailureError,
+                      oracle_decode, classify_pattern, decode_structured, deadline_table)
 from .stream import (StreamEncoder, StreamReport, StreamError, encode_stream,
                      stream_decode, delay_check, simulate, format_trace, parse_trace)
 

@@ -91,32 +91,21 @@ def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
     return True
 
 
-def enumerate_block_patterns(n: int, W: int, B: int, N: int) -> list[ErasurePattern]:
-    """All admissible sparse subsets of size <= N plus all bursts of length <= B.
+def enumerate_block_patterns(n: int, B: int, N: int) -> list[ErasurePattern]:
+    """All subsets of size <= N plus all bursts of length in (N, B].
 
-    Deterministic order: sparse subsets by size then lexicographic index
-    tuple, followed by longer bursts by (length, start); duplicates (short
-    bursts are also sparse subsets) appear once.
+    Each is admissible for any window, and the two families are disjoint by
+    size.  Deterministic order: subsets by size then lexicographic index
+    tuple, followed by bursts by (length, start).
     """
     if n > _ENUM_MAX_N or N > _ENUM_MAX_SPARSE:
         raise BudgetError(
             f"exhaustive enumeration limited to n <= {_ENUM_MAX_N}, N <= {_ENUM_MAX_SPARSE}; "
             f"got n = {n}, N = {N}")
-    out: list[ErasurePattern] = []
-    seen: set[tuple[int, ...]] = set()
-    for size in range(N + 1):
-        for combo in combinations(range(n), size):
-            p = ErasurePattern(n, combo)
-            if is_admissible(p, W, B, N) and combo not in seen:
-                seen.add(combo)
-                out.append(p)
-    for length in range(N + 1, B + 1):
-        for start in range(n - length + 1):
-            combo = tuple(range(start, start + length))
-            p = ErasurePattern(n, combo)
-            if is_admissible(p, W, B, N) and combo not in seen:
-                seen.add(combo)
-                out.append(p)
+    out = [ErasurePattern(n, combo)
+           for size in range(N + 1) for combo in combinations(range(n), size)]
+    out.extend(ErasurePattern(n, tuple(range(start, start + length)))
+               for length in range(N + 1, B + 1) for start in range(n - length + 1))
     return out
 
 

@@ -54,14 +54,14 @@ def _check_pattern(g, pattern, trials, seed):
     d = g.derived
     ext = g.field()
     rng = random.Random(f"{seed}:{pattern.to_text()}")
-    case = classify_pattern(pattern, d)
+    kind = classify_pattern(pattern, d)
     fails = []
     for trial in range(trials):
         s = [ext.random_element(rng) for _ in range(d.k)]
         y = apply(encode_block(s, g), pattern)
         orc = oracle_decode(g, y)
         try:
-            st = decode_structured(g, y, case)
+            st = decode_structured(g, y, kind)
         except DecoderError as exc:
             fails.append({"pattern": pattern.to_text(), "trial": trial,
                           "symbol": -1, "kind": f"structural: {exc}"})
@@ -114,7 +114,7 @@ def cmd_verify(args, gset=None) -> int:
         mode = "exhaustive" if d.n <= _EXHAUSTIVE_DEFAULT_MAX_N else "random"
     if mode == "exhaustive":
         try:
-            patterns = enumerate_block_patterns(d.n, d.T_eff + 1, d.B, d.N)
+            patterns = enumerate_block_patterns(d.n, d.B, d.N)
         except BudgetError as exc:
             if args.mode == "exhaustive":
                 print(f"error: {exc}; use --mode random", file=sys.stderr)

@@ -10,12 +10,18 @@ Two decoders over the same generator set:
   is cached per erasure pattern, so repeated decodes of the same pattern
   cost one linear combination per symbol.
 
-* ``decode_arbitrary`` / ``decode_burst`` form the structured decoder.
-  It mirrors the algebra the code was designed around: recover the outer
-  symbols (first delta and last k - B) through the rank-metric subsystem,
-  cancelling unknown middle symbols by a base-field null-out, then peel
-  each middle sub-block with its Cauchy parity.  Any rank deficiency on an
-  admissible pattern is a bug, reported as StructuralFailureError.
+* ``decode_structured`` mirrors the algebra the code was designed around,
+  in one pipeline for both pattern kinds.  The outer symbols (first delta
+  and last k - B) fall to the rank-metric subsystem, with the unknown
+  middle symbols cancelled by a base-field null-out; each middle sub-block
+  is peeled with its Cauchy parity.  Stage 1 solves the outer symbols
+  early: through the first N parity columns under arbitrary erasures, or
+  through the first delta under a burst entering [0, delta).  Stage 2
+  peels the affected sub-blocks in ascending order, each after an outer
+  solve up to its own parity columns if outer symbols are still unknown.
+  Stage 3 solves what outer symbols remain from the full parity span.  Any
+  rank deficiency on an admissible pattern is a bug, reported as
+  StructuralFailureError.
 
 Both report per-symbol recovery times against the per-symbol deadline
 min(i + T_eff, n - 1).
@@ -67,12 +73,6 @@ class DecodeReport:
 
     def to_json_obj(self) -> dict:
         return {"symbols": [s.to_json_obj() for s in self.symbols]}
-
-
-@dataclass(frozen=True)
-class DecodeCase:
-    kind: str  # "arbitrary" | "burst"
-    l: int
 
 
 def _deadline(i: int, T_eff: int, n: int) -> int:
@@ -149,25 +149,19 @@ def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
 # Pattern classification
 # ---------------------------------------------------------------------------
 
-def classify_pattern(p: ErasurePattern, d: DerivedParams) -> DecodeCase:
-    """Route a block erasure pattern and compute its case parameter.
+def classify_pattern(p: ErasurePattern, d: DerivedParams) -> str:
+    """Route a block erasure pattern: "burst" or "arbitrary".
 
     Burst means one contiguous run of length in (N, B]; contiguous runs of
     length <= N and all other patterns of at most N erasures are arbitrary.
-    For arbitrary patterns l counts erasures among the middle source
-    positions [delta, B); for bursts l is the start offset of the run
-    within its sub-block.
     """
     if p.horizon != d.n:
         raise DecoderError(f"pattern horizon {p.horizon} != block length {d.n}")
     e = p.erased
     if p.is_burst() and d.N < len(e) <= d.B:
-        i0 = e[0]
-        l = (i0 - d.delta) % d.N if d.delta <= i0 < d.B else 0
-        return DecodeCase("burst", l)
+        return "burst"
     if len(e) <= d.N:
-        l = sum(1 for i in e if d.delta <= i < d.B)
-        return DecodeCase("arbitrary", l)
+        return "arbitrary"
     raise DecoderError(f"pattern {e} is not admissible for one block of ({d.B},{d.N})")
 
 
@@ -276,111 +270,45 @@ def _cauchy_solve(g: GeneratorSet, y, vals: dict, block: int,
     return {u: x[pos] for pos, u in enumerate(unknowns)}, k + avail[-1]
 
 
-def decode_structured(g: GeneratorSet, y, case: Optional[DecodeCase] = None) -> DecodeReport:
-    """Dispatch to the burst or arbitrary pipeline based on the pattern."""
+def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeReport:
+    """Structured decode of one received block; kind defaults to
+    classify_pattern of its erasures.  Stages as in the module docstring."""
     d = g.derived
     if len(y) != d.n:
         raise DecoderError(f"expected {d.n} received symbols, got {len(y)}")
-    if case is None:
-        p = ErasurePattern(d.n, tuple(sorted(_erased_positions(y))))
-        case = classify_pattern(p, d)
-    if case.kind == "burst":
-        return decode_burst(g, y, case)
-    return decode_arbitrary(g, y, case)
-
-
-def decode_arbitrary(g: GeneratorSet, y, case: DecodeCase) -> DecodeReport:
-    """Recover from at most N erasures anywhere in the block.
-
-    Stage 1 solves the outer symbols through the first N parity columns,
-    nulling out unknown middle rows; stage 2 peels each affected sub-block
-    with its own Cauchy columns, by which time every outer symbol is known.
-    """
-    d = g.derived
     k, B, N, delta = d.k, d.B, d.N, d.delta
     erased = _erased_positions(y)
+    if kind is None:
+        kind = classify_pattern(ErasurePattern(d.n, tuple(sorted(erased))), d)
     vals = {i: y[i] for i in range(k) if i not in erased}
     times = {i: i for i in vals}
-
-    u_outer = sorted(i for i in erased if i < delta or B <= i < k)
+    u_outer = {i for i in erased if i < delta or B <= i < k}
     u_mid = sorted(i for i in erased if delta <= i < B)
-
-    if u_outer:
-        parity_cols = [c for c in range(N) if (k + c) not in erased]
-        rec, t = _mrd_solve(g, y, vals, set(u_outer), parity_cols, u_mid)
-        vals.update(rec)
-        for i in rec:
-            times[i] = t
-
     now = 0
-    for block in sorted({_middle_block(d, i) for i in u_mid}):
-        unknowns = [i for i in u_mid if _middle_block(d, i) == block]
-        rec, t = _cauchy_solve(g, y, vals, block, unknowns)
+
+    def record(rec: dict, t: int) -> None:
+        nonlocal now
         now = max(now, t)
         vals.update(rec)
-        for i in rec:
-            times[i] = now
-    return _report(g, times, vals)
+        times.update(dict.fromkeys(rec, now))
 
-
-def decode_burst(g: GeneratorSet, y, case: DecodeCase) -> DecodeReport:
-    """Recover from one contiguous burst of length in (N, B].
-
-    Step 1: a burst entering the first delta positions is cancelled through
-    the first delta parity columns, where the middle rows have no support;
-    this recovers every erased outer symbol at once.  Step 2: sub-blocks
-    are peeled in ascending order; at the first affected sub-block any
-    still-unknown outer symbols are solved jointly through the rank-metric
-    subsystem (using all parity columns up to that sub-block's deadline),
-    after which the sub-block falls to its Cauchy columns.  Step 3: outer
-    symbols erased by a burst that touched no middle sub-block are solved
-    from the full parity span.
-    """
-    d = g.derived
-    k, B, N, delta = d.k, d.B, d.N, d.delta
-    erased = _erased_positions(y)
-    vals = {i: y[i] for i in range(k) if i not in erased}
-    times = {i: i for i in vals}
-
-    u_outer = set(i for i in erased if i < delta or B <= i < k)
-    u_mid = sorted(i for i in erased if delta <= i < B)
-
-    now = 0
-    if any(i < delta for i in erased):
-        parity_cols = [c for c in range(delta) if (k + c) not in erased]
-        rec, t = _mrd_solve(g, y, vals, u_outer, parity_cols, u_mid)
-        vals.update(rec)
-        now = max(now, t)
-        for i in rec:
-            times[i] = t
+    def solve_outer(hi: int) -> None:
+        parity_cols = [c for c in range(hi) if (k + c) not in erased]
+        pending = [i for i in u_mid if i not in vals]
+        record(*_mrd_solve(g, y, vals, u_outer, parity_cols, pending))
         u_outer.clear()
 
+    if kind == "arbitrary" and u_outer:
+        solve_outer(N)
+    elif any(i < delta for i in erased):
+        solve_outer(delta)
     for block in sorted({_middle_block(d, i) for i in u_mid}):
         if u_outer:
-            hi = delta + (block + 1) * N
-            parity_cols = [c for c in range(hi) if (k + c) not in erased]
-            pending = [i for i in u_mid if i not in vals]
-            rec, t = _mrd_solve(g, y, vals, u_outer, parity_cols, pending)
-            vals.update(rec)
-            now = max(now, t)
-            for i in rec:
-                times[i] = now
-            u_outer.clear()
-        unknowns = [i for i in u_mid if _middle_block(d, i) == block and i not in vals]
-        if unknowns:
-            rec, t = _cauchy_solve(g, y, vals, block, unknowns)
-            now = max(now, t)
-            vals.update(rec)
-            for i in rec:
-                times[i] = now
-
+            solve_outer(delta + (block + 1) * N)
+        unknowns = [i for i in u_mid if _middle_block(d, i) == block]
+        record(*_cauchy_solve(g, y, vals, block, unknowns))
     if u_outer:
-        parity_cols = [c for c in range(B) if (k + c) not in erased]
-        rec, t = _mrd_solve(g, y, vals, u_outer, parity_cols, [])
-        vals.update(rec)
-        now = max(now, t)
-        for i in rec:
-            times[i] = now
+        solve_outer(B)
     return _report(g, times, vals)
 
 

@@ -216,19 +216,17 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        a, b = f._coerce_pair(self, other)
-        if a is not self:
-            return a + b
+        if other.__class__ is not FieldElement or other.field is not f:
+            raise _operand_error(f, other)
         q = f.q
-        return FieldElement(f, tuple((x + y) % q for x, y in zip(self.coeffs, b.coeffs)))
+        return FieldElement(f, tuple((x + y) % q for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        a, b = f._coerce_pair(self, other)
-        if a is not self:
-            return a - b
+        if other.__class__ is not FieldElement or other.field is not f:
+            raise _operand_error(f, other)
         q = f.q
-        return FieldElement(f, tuple((x - y) % q for x, y in zip(self.coeffs, b.coeffs)))
+        return FieldElement(f, tuple((x - y) % q for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FieldElement":
         q = self.field.q
@@ -236,10 +234,9 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        a, b = f._coerce_pair(self, other)
-        if a is not self:
-            return a * b
-        return FieldElement(f, f._mul_coeffs(a, b))
+        if other.__class__ is not FieldElement or other.field is not f:
+            raise _operand_error(f, other)
+        return FieldElement(f, f._mul_coeffs(self, other))
 
     def __pow__(self, e: int) -> "FieldElement":
         f = self.field
@@ -273,6 +270,14 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.field!r}({self.to_text()})"
+
+
+def _operand_error(f: "Field", other) -> Exception:
+    """The error for an operand that is not an element of f; mixing fields
+    (embedding included) is left to the caller, e.g. Mat.embed_into."""
+    if not isinstance(other, FieldElement):
+        return TypeError(f"expected FieldElement, got {type(other).__name__}")
+    return FieldMismatchError(f"mixed fields {f!r} and {other.field!r}")
 
 
 class Field:
@@ -326,11 +331,11 @@ class Field:
             return self.embed(value)
         if isinstance(value, int):
             return FieldElement(self, (value % self.q,) + (0,) * (self.m - 1))
-        coeffs = tuple(int(c) for c in value)
+        coeffs = tuple(value)
         if len(coeffs) != self.m:
             raise FieldError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        if any(not 0 <= c < self.q for c in coeffs):
-            raise FieldError(f"coefficients must be residues in [0, {self.q}), got {coeffs}")
+        if any(type(c) is not int or not 0 <= c < self.q for c in coeffs):
+            raise FieldError(f"coefficients must be int residues in [0, {self.q}), got {coeffs}")
         return FieldElement(self, coeffs)
 
     def from_text(self, text: str) -> FieldElement:
@@ -348,17 +353,6 @@ class Field:
         return GF(self.q)
 
     # -- arithmetic on coefficient tuples ---------------------------------
-
-    def _coerce_pair(self, a: FieldElement, b: FieldElement):
-        if not isinstance(b, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(b).__name__}")
-        if a.field is b.field:
-            return a, b
-        if b.field.m == 1 and b.field.q == self.q:
-            return a, self.embed(b)
-        if a.field.m == 1 and b.field.q == a.field.q:
-            return b.field.embed(a), b
-        raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}")
 
     def _mul_coeffs(self, a: FieldElement, b: FieldElement) -> tuple[int, ...]:
         q, m = self.q, self.m

@@ -124,22 +124,6 @@ class Mat:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
-        f = _join_field(self, other)
-        a, b = self.embed_into(f), other.embed_into(f)
-        if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-            raise LinalgError("shape mismatch in add")
-        return Mat(f, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-                   a.ncols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        f = _join_field(self, other)
-        a, b = self.embed_into(f), other.embed_into(f)
-        if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-            raise LinalgError("shape mismatch in sub")
-        return Mat(f, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-                   a.ncols)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         f = _join_field(self, other)
         a, b = self.embed_into(f), other.embed_into(f)

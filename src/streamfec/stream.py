@@ -226,13 +226,20 @@ def format_trace(stream: Sequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str, field) -> list:
+def parse_trace(text: str, field, n: int) -> list:
+    """Inverse of format_trace for a code of length n: line t must be
+    labelled t and carry n symbols or ERASED, else StreamError."""
     out = []
-    for line in text.strip().splitlines():
+    for t, line in enumerate(text.strip().splitlines()):
         head, _, body = line.partition(":")
+        if head.strip() != str(t):
+            raise StreamError(f"line {t} is labelled slot {head.strip()!r}")
         body = body.strip()
         if body == "ERASED":
             out.append(ERASED)
-        else:
-            out.append([field.from_text(tok) for tok in body.split()])
+            continue
+        packet = [field.from_text(tok) for tok in body.split()]
+        if len(packet) != n:
+            raise StreamError(f"packet {t} has {len(packet)} symbols, expected {n}")
+        out.append(packet)
     return out

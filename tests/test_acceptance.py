@@ -46,15 +46,15 @@ def exhaustive_runs(ex1, ex2):
         d = g.derived
         rng = random.Random(0xACCE)
         records = []
-        patterns = enumerate_block_patterns(d.n, d.W, d.B, d.N)
+        patterns = enumerate_block_patterns(d.n, d.B, d.N)
         for p in patterns:
-            case = classify_pattern(p, d)
+            kind = classify_pattern(p, d)
             for _ in range(5):
                 s = [g.field().random_element(rng) for _ in range(d.k)]
                 y = apply(encode_block(s, g), p)
                 orc = oracle_decode(g, y)
-                st = decode_structured(g, y, case)
-                records.append((p, case, s, orc, st))
+                st = decode_structured(g, y, kind)
+                records.append((p, kind, s, orc, st))
         runs[name] = (g, records)
     return runs
 
@@ -105,7 +105,7 @@ def test_criterion_4_exhaustive_recovery(capsys, exhaustive_runs):
         d = g.derived
         if len(records) < 500:
             ok = False
-        for _p, _case, s, orc, _st in records:
+        for _p, _kind, s, orc, _st in records:
             for i, sym in enumerate(orc.symbols):
                 if sym.status != "recovered" or sym.value != s[i]:
                     ok = False
@@ -119,8 +119,8 @@ def test_criterion_5_per_symbol_deadlines(capsys, exhaustive_runs):
     for g, records in exhaustive_runs.values():
         d = g.derived
         table = deadline_table(d)
-        for _p, case, _s, orc, st in records:
-            bounds = table[case.kind]
+        for _p, kind, _s, orc, st in records:
+            bounds = table[kind]
             for i in range(d.k):
                 if orc.symbols[i].recovery_time > bounds[i]:
                     ok = False
@@ -135,7 +135,7 @@ def test_criterion_6_decoder_equivalence(capsys, exhaustive_runs):
     # solvable; records exist only because no such error fired.
     ok = True
     for g, records in exhaustive_runs.values():
-        for _p, _case, s, orc, st in records:
+        for _p, _kind, s, orc, st in records:
             if st.values() != orc.values() or st.values() != s:
                 ok = False
     report(capsys, 6, ok)

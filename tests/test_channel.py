@@ -81,11 +81,11 @@ def brute_force_patterns(n, W, B, N):
 
 class TestEnumerateBlockPatterns:
     def test_tiny(self):
-        pats = enumerate_block_patterns(2, 2, 1, 1)
+        pats = enumerate_block_patterns(2, 1, 1)
         assert [p.erased for p in pats] == [(), (0,), (1,)]
 
     def test_matches_brute_force_example_one(self):
-        pats = enumerate_block_patterns(12, 10, 5, 3)
+        pats = enumerate_block_patterns(12, 5, 3)
         got = {p.erased for p in pats}
         assert len(got) == len(pats)  # no duplicates
         assert got == brute_force_patterns(12, 10, 5, 3)
@@ -93,21 +93,26 @@ class TestEnumerateBlockPatterns:
             assert tuple(range(start, start + 5)) in got
 
     def test_matches_brute_force_example_two(self):
-        pats = enumerate_block_patterns(13, 11, 4, 2)
+        pats = enumerate_block_patterns(13, 4, 2)
         got = {p.erased for p in pats}
         assert len(got) == len(pats)
         assert got == brute_force_patterns(13, 11, 4, 2)
 
+    @pytest.mark.parametrize("W", range(1, 11))
+    def test_admissible_for_every_window(self, W):
+        pats = enumerate_block_patterns(8, 4, 2)
+        assert {p.erased for p in pats} == brute_force_patterns(8, W, 4, 2)
+
     def test_deterministic_order(self):
-        a = enumerate_block_patterns(10, 8, 4, 2)
-        b = enumerate_block_patterns(10, 8, 4, 2)
+        a = enumerate_block_patterns(10, 4, 2)
+        b = enumerate_block_patterns(10, 4, 2)
         assert [p.erased for p in a] == [p.erased for p in b]
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
-            enumerate_block_patterns(17, 10, 5, 3)
+            enumerate_block_patterns(17, 5, 3)
         with pytest.raises(BudgetError):
-            enumerate_block_patterns(12, 10, 6, 5)
+            enumerate_block_patterns(12, 6, 5)
 
 
 class TestSampleStreamPattern:

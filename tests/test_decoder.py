@@ -1,15 +1,15 @@
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from streamfec.channel import ErasurePattern, apply, enumerate_block_patterns
 from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
                                     validate_and_derive)
-from streamfec.decoder import (DecodeCase, DecoderError, StructuralFailureError,
-                               classify_pattern, deadline_table, decode_arbitrary,
-                               decode_burst, decode_structured, oracle_decode,
+from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pattern,
+                               deadline_table, decode_structured, oracle_decode,
                                oracle_plan)
 from streamfec.matrix import Mat
 
@@ -122,7 +122,7 @@ class TestOraclePlanByRank:
     def test_plans_reproduce_unit_vectors_on_admissible_patterns(self, fixture, request):
         g = request.getfixturevalue(fixture)
         d = g.derived
-        for p in enumerate_block_patterns(d.n, d.W, d.B, d.N):
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
             plan = oracle_plan(g, frozenset(p.erased))
             assert sorted(plan) == list(range(d.k))
             for i, (_, steps) in plan.items():
@@ -132,29 +132,22 @@ class TestOraclePlanByRank:
 class TestClassifyPattern:
     def test_long_burst(self, ex1):
         d = ex1.derived
-        case = classify_pattern(ErasurePattern.make(12, range(3, 8)), d)
-        assert case == DecodeCase("burst", 1)
+        assert classify_pattern(ErasurePattern.make(12, range(3, 8)), d) == "burst"
 
     def test_burst_at_origin(self, ex1):
-        case = classify_pattern(ErasurePattern.make(12, range(5)), ex1.derived)
-        assert case == DecodeCase("burst", 0)
+        assert classify_pattern(ErasurePattern.make(12, range(5)), ex1.derived) == "burst"
 
     def test_sparse(self, ex1):
-        case = classify_pattern(ErasurePattern.make(12, [0, 3, 9]), ex1.derived)
-        assert case == DecodeCase("arbitrary", 1)
+        assert classify_pattern(ErasurePattern.make(12, [0, 3, 9]), ex1.derived) == "arbitrary"
 
     def test_sparse_outside_middle(self, ex1):
-        case = classify_pattern(ErasurePattern.make(12, [0, 5, 9]), ex1.derived)
-        assert case == DecodeCase("arbitrary", 0)
+        assert classify_pattern(ErasurePattern.make(12, [0, 5, 9]), ex1.derived) == "arbitrary"
 
     def test_empty(self, ex1):
-        case = classify_pattern(ErasurePattern.make(12, []), ex1.derived)
-        assert case == DecodeCase("arbitrary", 0)
+        assert classify_pattern(ErasurePattern.make(12, []), ex1.derived) == "arbitrary"
 
     def test_short_run_is_arbitrary(self, ex1):
-        case = classify_pattern(ErasurePattern.make(12, [2, 3, 4]), ex1.derived)
-        assert case.kind == "arbitrary"
-        assert case.l == 3
+        assert classify_pattern(ErasurePattern.make(12, [2, 3, 4]), ex1.derived) == "arbitrary"
 
     def test_inadmissible_rejected(self, ex1):
         with pytest.raises(DecoderError):
@@ -173,16 +166,29 @@ class TestStructuredMatchesOracle:
         rng = random.Random(7)
         s = random_block(g, rng)
         table = deadline_table(d)
-        for p in enumerate_block_patterns(d.n, d.W, d.B, d.N):
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = received(g, s, p.erased)
             ref = oracle_decode(g, y)
             got = decode_structured(g, y)
             assert ref.ok() and got.ok()
             assert got.values() == s == ref.values()
-            case = classify_pattern(p, d)
-            bounds = table[case.kind]
+            bounds = table[classify_pattern(p, d)]
             for i, sym in enumerate(got.symbols):
                 assert sym.recovery_time <= bounds[i]
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
+    def test_recovery_times_match_golden(self, fixture, request):
+        """Per-symbol structured recovery times on every admissible pattern,
+        one line per pattern, equal those recorded in tests/golden."""
+        g = request.getfixturevalue(fixture)
+        d = g.derived
+        s = random_block(g, random.Random(12))
+        lines = []
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
+            rep = decode_structured(g, received(g, s, p.erased))
+            lines.append(f"{p.to_text()}: " + " ".join(str(x.recovery_time) for x in rep.symbols))
+        golden = Path(__file__).parent / "golden" / f"structured_times_{fixture}.txt"
+        assert "\n".join(lines) + "\n" == golden.read_text()
 
     def test_small_degenerate_codes(self):
         for (W, T, B, N) in SMALL_CODES:
@@ -190,7 +196,7 @@ class TestStructuredMatchesOracle:
             d = g.derived
             rng = random.Random(W * 100 + B)
             s = random_block(g, rng)
-            for p in enumerate_block_patterns(d.n, d.W, d.B, d.N):
+            for p in enumerate_block_patterns(d.n, d.B, d.N):
                 y = received(g, s, p.erased)
                 assert decode_structured(g, y).values() == s == oracle_decode(g, y).values()
 
@@ -200,14 +206,14 @@ class TestStructuredPipelines:
         rng = random.Random(8)
         s = random_block(ex1, rng)
         y = received(ex1, s, range(2, 7))
-        rep = decode_burst(ex1, y, DecodeCase("burst", 0))
+        rep = decode_structured(ex1, y, "burst")
         assert rep.values() == s
 
     def test_arbitrary_dispatch(self, ex2):
         rng = random.Random(9)
         s = random_block(ex2, rng)
         y = received(ex2, s, [1, 6])
-        rep = decode_arbitrary(ex2, y, DecodeCase("arbitrary", 1))
+        rep = decode_structured(ex2, y, "arbitrary")
         assert rep.values() == s
 
     def test_mutated_generator_detected(self, ex1):
@@ -224,7 +230,7 @@ class TestStructuredPipelines:
         s = random_block(ex1, rng)
         x = encode_block(s, bad)
         wrong = 0
-        for p in enumerate_block_patterns(d.n, d.W, d.B, d.N):
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = apply(x, p)
             try:
                 rep = decode_structured(bad, y)

@@ -72,11 +72,17 @@ class TestExtensionField:
         with pytest.raises(FieldMismatchError):
             GF(7)(1) + GF(5)(1)
 
-    def test_base_field_auto_embeds(self):
+    def test_operands_must_share_the_field(self):
         f = GF(5, 2)
-        b = GF(5)(3)
-        assert f((1, 1)) * b == f((3, 3))
-        assert b + f((0, 1)) == f((3, 1))
+        x, b = f((1, 1)), GF(5)(3)
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+            with pytest.raises(FieldMismatchError):
+                op(x, b)
+            with pytest.raises(FieldMismatchError):
+                op(b, x)
+            with pytest.raises(TypeError):
+                op(x, 3)
+        assert x * f.embed(b) == f((3, 3))
 
     def test_text_round_trip(self):
         f = GF(7, 3)

@@ -218,6 +218,12 @@ class TestJson:
         with pytest.raises(FieldError):
             Mat.from_json_obj(obj)
 
+    def test_non_integer_entry_rejected(self, f7):
+        obj = Mat.identity(f7, 2).to_json_obj()
+        obj["entries"][0][1] = [2.9]
+        with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
+
     def test_zero_row_matrix_round_trip(self, f7):
         a = Mat.zeros(f7, 0, 5)
         b = Mat.from_json(a.to_json())

@@ -166,7 +166,18 @@ class TestReport:
 class TestTrace:
     def test_out_of_range_coefficient_rejected(self, ex1):
         with pytest.raises(FieldError):
-            parse_trace("0: 9,0,0,0,0,0,0,0,0\n", ex1.field())
+            parse_trace("0: 9,0,0,0,0,0,0,0,0\n", ex1.field(), ex1.derived.n)
+
+    def test_wrong_width_rejected(self, ex1):
+        one, two = "0,0,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,0,1 0,0,0,0,0,0,0,0,2"
+        with pytest.raises(StreamError, match="packet 0 has 1 symbols"):
+            parse_trace(f"0: {one}\n1: ERASED\n2: {two}\n", ex1.field(), ex1.derived.n)
+
+    def test_slot_label_must_match_line(self, ex1):
+        sent = encode_stream(random_packets(ex1, 3, 11), ex1, flush=False)
+        text = format_trace(sent).replace("1: ", "7: ", 1)
+        with pytest.raises(StreamError, match="line 1 is labelled slot '7'"):
+            parse_trace(text, ex1.field(), ex1.derived.n)
 
     def test_round_trip(self, ex1):
         src = random_packets(ex1, 6, 9)
@@ -175,7 +186,7 @@ class TestTrace:
         got = apply(sent, pat)
         text = format_trace(got)
         assert "2: ERASED" in text.splitlines()[2]
-        back = parse_trace(text, ex1.field())
+        back = parse_trace(text, ex1.field(), ex1.derived.n)
         assert back == got
 
     def test_formats_each_slot_on_own_line(self, ex1):
