@@ -8,6 +8,7 @@ coexist in one stream; the predicate is evaluated per window.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -80,14 +81,11 @@ def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
     if W < 1:
         raise ChannelError("window must be >= 1")
     erased = p.erased
-    for start in range(p.horizon - W + 1):
-        hits = [e for e in erased if start <= e < start + W]
+    # A horizon shorter than the window is one partial window.
+    for start in range(max(p.horizon - W + 1, 1)):
+        hits = erased[bisect_left(erased, start):bisect_left(erased, start + W)]
         if not _window_ok(hits, B, N):
             return False
-    if p.horizon < W:
-        # Degenerate horizon shorter than the window: treat the whole
-        # horizon as one (partial) window.
-        return _window_ok(list(erased), B, N)
     return True
 
 

@@ -109,6 +109,9 @@ def cmd_verify(args, gset=None) -> int:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
         return 0 if report.ok() else 1
 
+    if args.trials < 1:
+        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return 2
     mode = args.mode
     if mode is None:
         mode = "exhaustive" if d.n <= _EXHAUSTIVE_DEFAULT_MAX_N else "random"

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .channel import BudgetError
-from .gf import Field, frobenius, alpha_power_basis
+from .gf import GF, Field, frobenius, alpha_power_basis
 from .matrix import Mat, cauchy_parity
 
 
@@ -104,7 +104,7 @@ def build_gabidulin(n: int, k: int, field: Field) -> MrdCode:
 
 def _random_full_rank(field: Field, nrows: int, ncols: int, rng: random.Random) -> Mat:
     """Random base-field nrows x ncols matrix of full column rank, by rejection."""
-    base = field.base_field()
+    base = GF(field.q)
     while True:
         cand = Mat(base, [[base(rng.randrange(base.q)) for _ in range(ncols)]
                           for _ in range(nrows)])
@@ -122,8 +122,9 @@ def verify_mrd(code: MrdCode, trials: int = 100, seed: int = 0) -> bool:
     rng = random.Random(seed)
     if code.k == 0:
         return True
+    ext = code.gen_sys.field
     for _ in range(trials):
-        t = _random_full_rank(code.gen_sys.field, code.n, code.k, rng)
+        t = _random_full_rank(ext, code.n, code.k, rng).embed_into(ext)
         if (code.gen_sys @ t).rank() != code.k:
             return False
     return True

@@ -234,13 +234,14 @@ def _mrd_solve(g: GeneratorSet, y, vals: dict, targets: set[int],
     m_kernel = that.right_kernel_basis()
     if not (that @ m_kernel).is_zero():
         raise StructuralFailureError("null-out failed: interference not cancelled")
+    m_kernel = m_kernel.embed_into(ext)
 
-    a = g.mrd.gen_sys.select_columns(sel)
-    am = a @ m_kernel
+    am = g.mrd.gen_sys.select_columns(sel) @ m_kernel
     rhs_m = Mat(ext, [rhs], len(sel)) @ m_kernel
-    u = am.solve_left(rhs_m.rows[0])
-    if u is NoSolution or u is Underdetermined:
-        raise StructuralFailureError(f"outer solve degenerate: {u!r}")
+    try:
+        u = am.solve_left(rhs_m.rows[0])
+    except (NoSolution, Underdetermined) as exc:
+        raise StructuralFailureError(f"outer solve degenerate: {type(exc).__name__}") from None
     recovered = {i: u[pos] for pos, i in enumerate(i0_list) if i in targets}
     return recovered, max(used_positions)
 
@@ -264,9 +265,10 @@ def _cauchy_solve(g: GeneratorSet, y, vals: dict, block: int,
                 v = v - vals[i] * g.P[i, c]
         rhs.append(v)
     a = Mat(ext, [[g.P[u, c] for c in avail] for u in unknowns], len(avail))
-    x = a.solve_left(rhs)
-    if x is NoSolution or x is Underdetermined:
-        raise StructuralFailureError(f"sub-block solve degenerate: {x!r}")
+    try:
+        x = a.solve_left(rhs)
+    except (NoSolution, Underdetermined) as exc:
+        raise StructuralFailureError(f"sub-block solve degenerate: {type(exc).__name__}") from None
     return {u: x[pos] for pos, u in enumerate(unknowns)}, k + avail[-1]
 
 

@@ -96,12 +96,10 @@ def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], q: int) -> list[
 
 
 def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    # a gcd up to a unit factor: only its degree is read
     a, b = list(a), list(b)
     while b:
         a, b = b, _poly_mod(a, b, q)
-    if a:
-        inv = pow(a[-1], q - 2, q)
-        a = [(c * inv) % q for c in a]
     return a
 
 
@@ -306,18 +304,8 @@ class Field:
         self._slot = max(m * (q - 1) ** 2, 1).bit_length() + 1
         self._mask = (1 << self._slot) - 1
         # alpha^d mod modulus for d in [m, 2m-2], as coefficient tuples
-        red = []
-        if m > 1:
-            row = [(-modulus[i]) % q for i in range(m)]  # alpha^m
-            red.append(tuple(row))
-            for _ in range(m - 2):
-                top = row[-1]
-                row = [0] + row[:-1]
-                if top:
-                    base = red[0]
-                    row = [(row[i] + top * base[i]) % q for i in range(m)]
-                red.append(tuple(row))
-        self._red = red
+        reduced = (_poly_mod([0] * d + [1], modulus, q) for d in range(m, 2 * m - 1))
+        self._red = [tuple(r + [0] * (m - len(r))) for r in reduced]
         self.zero = FieldElement(self, (0,) * m)
         self.one = FieldElement(self, (1,) + (0,) * (m - 1))
         self.alpha = FieldElement(self, (0, 1) + (0,) * (m - 2)) if m >= 2 else self.one
@@ -328,7 +316,7 @@ class Field:
         if isinstance(value, FieldElement):
             if value.field is self:
                 return value
-            return self.embed(value)
+            raise _operand_error(self, value)
         if isinstance(value, int):
             return FieldElement(self, (value % self.q,) + (0,) * (self.m - 1))
         coeffs = tuple(value)
@@ -348,9 +336,6 @@ class Field:
         if a.field.q != self.q or a.field.m != 1:
             raise FieldMismatchError(f"cannot embed {a.field!r} element into {self!r}")
         return FieldElement(self, (a.coeffs[0],) + (0,) * (self.m - 1))
-
-    def base_field(self) -> "Field":
-        return GF(self.q)
 
     # -- arithmetic on coefficient tuples ---------------------------------
 
@@ -373,16 +358,6 @@ class Field:
                         out[i] += c * ri
         return tuple(v % q for v in out)
 
-    def frobenius(self, a: FieldElement, i: int) -> FieldElement:
-        """a^(q^i); the i-fold Frobenius map, F_q-linear."""
-        if a.field is not self:
-            a = self(a)
-        i %= self.m
-        out = a
-        for _ in range(i):
-            out = out ** self.q
-        return out
-
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, tuple(rng.randrange(self.q) for _ in range(self.m)))
 
@@ -397,13 +372,21 @@ def _interned_field(q: int, m: int, modulus: tuple[int, ...]) -> Field:
 
 def GF(q: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
     """Interned field constructor; default modulus is the lex-smallest irreducible."""
-    if modulus is None:
-        modulus = find_irreducible(q, m)
-    return _interned_field(q, m, tuple(modulus))
+    # int only, bool excluded, checked first: the caches key 11.0 and True as 11 and 1
+    if type(q) is not int or type(m) is not int:
+        raise FieldError(f"q and m must be ints, got q={q!r}, m={m!r}")
+    modulus = find_irreducible(q, m) if modulus is None else tuple(modulus)
+    if any(type(c) is not int for c in modulus):
+        raise FieldError(f"modulus coefficients must be ints, got {modulus}")
+    return _interned_field(q, m, modulus)
 
 
 def frobenius(a: FieldElement, i: int) -> FieldElement:
-    return a.field.frobenius(a, i)
+    """a^(q^i); the i-fold Frobenius map, F_q-linear."""
+    out = a
+    for _ in range(i % a.field.m):
+        out = out ** a.field.q
+    return out
 
 
 def alpha_power_basis(field: Field, n: int) -> list[FieldElement]:

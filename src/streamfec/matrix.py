@@ -20,36 +20,19 @@ class LinalgError(ValueError):
     pass
 
 
-class _NoSolution:
-    def __repr__(self):
-        return "NoSolution"
-
-    def __bool__(self):
-        return False
+class NoSolution(LinalgError):
+    """solve_left: the system is inconsistent."""
 
 
-class _Underdetermined:
-    def __repr__(self):
-        return "Underdetermined"
-
-    def __bool__(self):
-        return False
+class Underdetermined(LinalgError):
+    """solve_left: the matrix has deficient row rank."""
 
 
-NoSolution = _NoSolution()
-Underdetermined = _Underdetermined()
-
-
-def _join_field(a: "Mat", b: "Mat") -> Field:
-    if a.field is b.field:
-        return a.field
-    if a.field.q != b.field.q:
-        raise FieldMismatchError(f"incompatible fields {a.field!r}, {b.field!r}")
-    if a.field.m == 1:
-        return b.field
-    if b.field.m == 1:
-        return a.field
-    raise FieldMismatchError(f"incompatible fields {a.field!r}, {b.field!r}")
+def _same_field(a: "Mat", b: "Mat") -> Field:
+    """The operands' common field; mixing fields is explicit, via embed_into."""
+    if a.field is not b.field:
+        raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}; use embed_into")
+    return a.field
 
 
 class Mat:
@@ -125,14 +108,13 @@ class Mat:
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        f = _join_field(self, other)
-        a, b = self.embed_into(f), other.embed_into(f)
-        if a.ncols != b.nrows:
-            raise LinalgError(f"shape mismatch in mul: {a.ncols} vs {b.nrows}")
-        bt = b.transpose().rows
+        f = _same_field(self, other)
+        if self.ncols != other.nrows:
+            raise LinalgError(f"shape mismatch in mul: {self.ncols} vs {other.nrows}")
+        bt = other.transpose().rows
         zero = f.zero
         out = []
-        for ra in a.rows:
+        for ra in self.rows:
             row = []
             for cb in bt:
                 acc = zero
@@ -141,7 +123,7 @@ class Mat:
                         acc = acc + x * y
                 row.append(acc)
             out.append(row)
-        return Mat(f, out, b.ncols)
+        return Mat(f, out, other.ncols)
 
     def is_zero(self) -> bool:
         return all(not v for r in self.rows for v in r)
@@ -157,18 +139,16 @@ class Mat:
         return Mat(self.field, [list(self.rows[i]) for i in idx], self._ncols)
 
     def hstack(self, other: "Mat") -> "Mat":
-        f = _join_field(self, other)
-        a, b = self.embed_into(f), other.embed_into(f)
-        if a.nrows != b.nrows:
+        f = _same_field(self, other)
+        if self.nrows != other.nrows:
             raise LinalgError("row count mismatch in hstack")
-        return Mat(f, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
+        return Mat(f, [ra + rb for ra, rb in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
     def vstack(self, other: "Mat") -> "Mat":
-        f = _join_field(self, other)
-        a, b = self.embed_into(f), other.embed_into(f)
-        if a.ncols != b.ncols:
+        f = _same_field(self, other)
+        if self.ncols != other.ncols:
             raise LinalgError("column count mismatch in vstack")
-        return Mat(f, a.rows + b.rows, a.ncols)
+        return Mat(f, self.rows + other.rows, self.ncols)
 
     # -- elimination -------------------------------------------------------
 
@@ -218,11 +198,11 @@ class Mat:
         return Mat(f, [[cols[j][i] for j in range(len(cols))] for i in range(nc)],
                    len(cols))
 
-    def solve_left(self, y: Sequence[FieldElement]):
-        """The unique row vector x with x @ self == y, else a tagged outcome.
+    def solve_left(self, y: Sequence[FieldElement]) -> list[FieldElement]:
+        """The unique row vector x with x @ self == y, as a list of nrows elements.
 
-        Returns a list of nrows elements, or NoSolution when the system is
-        inconsistent, or Underdetermined when self has deficient row rank.
+        Raises NoSolution when the system is inconsistent and Underdetermined
+        when self has deficient row rank; both are LinalgErrors.
         """
         f = self.field
         y = [f(v) for v in y]
@@ -235,9 +215,9 @@ class Mat:
         R, pivots = aug.rref()
         n = self.nrows
         if n in pivots:
-            return NoSolution
+            raise NoSolution("inconsistent system")
         if len(pivots) < n:
-            return Underdetermined
+            raise Underdetermined(f"row rank {len(pivots)} < {n}")
         x = [f.zero] * n
         for r, pc in enumerate(pivots):
             x[pc] = R.rows[r][n]
@@ -269,7 +249,12 @@ class Mat:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Mat":
+        missing = [key for key in ("rows", "cols", "q", "m", "modulus", "entries") if key not in obj]
+        if missing:
+            raise LinalgError(f"JSON matrix lacks {', '.join(missing)}")
         f = GF(obj["q"], obj["m"], tuple(obj["modulus"]))
+        if any(not isinstance(c, (list, tuple)) for r in obj["entries"] for c in r):
+            raise LinalgError("JSON matrix entries must be coefficient lists")
         m = cls(f, [[f(tuple(c)) for c in r] for r in obj["entries"]], obj["cols"])
         if (m.nrows, m.ncols) != (obj["rows"], obj["cols"]):
             raise LinalgError("JSON shape mismatch")

@@ -7,7 +7,10 @@ rows therefore carry s_t[j] verbatim; parity rows mix the previous n - 1
 source packets, giving an (n, k, n-1) convolutional code.  Whole-packet
 erasures at stream level induce, on each diagonal, exactly the same shape
 of erasure (bursts stay bursts, sparse stays sparse), so every diagonal is
-decoded independently by the block decoders with delay T_eff.
+decoded independently by the block decoders with delay T_eff.  A diagonal
+is read straight from the packet list, as a plain list of symbols
+(``_diagonal``), and so is its erasure pattern: position p of the diagonal
+starting at d is erased iff slot d + p is.
 """
 from __future__ import annotations
 
@@ -24,21 +27,12 @@ class StreamError(ValueError):
     pass
 
 
-class _Diagonal:
-    """Codeword view of the diagonal starting at slot ``start`` of a packet
-    list: position ``pos`` is symbol ``pos`` of packet ``start + pos``.
-    Slots before the list starts hold virtual zero symbols (cold start)."""
-
-    __slots__ = ("packets", "start", "zero")
-
-    def __init__(self, packets: Sequence, start: int, zero):
-        self.packets = packets
-        self.start = start
-        self.zero = zero
-
-    def __getitem__(self, pos: int):
-        t = self.start + pos
-        return self.packets[t][pos] if t >= 0 else self.zero
+def _diagonal(packets: Sequence, start: int, length: int, zero) -> list:
+    """Positions [0, length) of the diagonal starting at slot ``start``:
+    position p is symbol p of packet start + p, or ERASED if that packet is.
+    A slot before 0 holds the virtual zero (cold start)."""
+    return [zero if t < 0 else ERASED if packets[t] is ERASED else packets[t][p]
+            for p, t in enumerate(range(start, start + length))]
 
 
 class StreamEncoder:
@@ -66,7 +60,7 @@ class StreamEncoder:
         # sits at index n - 1 - j of the packets for times t-(n-1) .. t
         past = list(self.history) + [s_now]
         for col, steps in enumerate(encoder_plan(self.g)):
-            diag = _Diagonal(past, d.n - 1 - (d.k + col), ext.zero)
+            diag = _diagonal(past, d.n - 1 - (d.k + col), d.k, ext.zero)
             out.append(evaluate_plan(steps, diag, ext.zero))
         self.history.append(s_now)
         self.time += 1
@@ -88,10 +82,20 @@ def encode_stream(packets: Sequence[Sequence], g: GeneratorSet, flush: bool = Tr
 
 @dataclass(frozen=True)
 class StreamReport:
-    packets: int
+    """What stream_decode measured: the number of erased slots and, per
+    source packet, its largest symbol latency, or None if any symbol missed
+    recovery by its deadline.  The rest is derived from those two."""
+
     erased_slots: int
-    latencies: tuple  # per source packet: max symbol latency, or None on failure
-    failures: tuple[int, ...]  # source packet indices that missed recovery
+    latencies: tuple
+
+    @property
+    def packets(self) -> int:
+        return len(self.latencies)
+
+    @property
+    def failures(self) -> tuple[int, ...]:
+        return tuple(t for t, v in enumerate(self.latencies) if v is None)
 
     @property
     def max_latency(self) -> int:
@@ -109,10 +113,6 @@ class StreamReport:
             "max_latency": self.max_latency,
             "failures": list(self.failures),
         }
-
-
-def _diagonal_erasures(erased: set[int], d: int, n: int) -> frozenset[int]:
-    return frozenset(e - d for e in erased if d <= e < d + n)
 
 
 def stream_decode(received: Sequence, g: GeneratorSet,
@@ -134,7 +134,6 @@ def stream_decode(received: Sequence, g: GeneratorSet,
         num_source = horizon - (n - 1)
     if num_source < 0 or num_source + n - 1 > horizon:
         raise StreamError("stream too short for the requested source packet count")
-    erased = {t for t, p in enumerate(received) if p is ERASED}
     if values:
         bad = next((t for t, p in enumerate(received) if p is not ERASED and len(p) != n), None)
         if bad is not None:
@@ -147,8 +146,9 @@ def stream_decode(received: Sequence, g: GeneratorSet,
     # early systematic positions (cold start); they are treated as received.
     zero = g.field().zero
     for d in range(-(k - 1), num_source):
-        pat = _diagonal_erasures(erased, d, n)
-        plan = oracle_plan(g, pat)
+        plan = oracle_plan(g, frozenset(p for p in range(max(0, -d), n)
+                                        if received[d + p] is ERASED))
+        diag = _diagonal(received, d, n, zero) if values else ()
         for j in range(k):
             t_src = d + j  # s_{d+j}[j] lives on this diagonal
             if not (0 <= t_src < num_source):
@@ -159,19 +159,10 @@ def stream_decode(received: Sequence, g: GeneratorSet,
             rt, steps = hit
             sym_latency[t_src][j] = rt - j
             if values:
-                packets[t_src][j] = evaluate_plan(steps, _Diagonal(received, d, zero), zero)
+                packets[t_src][j] = evaluate_plan(steps, diag, zero)
 
-    failures = []
-    lat = []
-    for t in range(num_source):
-        if any(v is None for v in sym_latency[t]):
-            failures.append(t)
-            lat.append(None)
-        else:
-            lat.append(max(sym_latency[t]))
-    report = StreamReport(packets=num_source,
-                          erased_slots=sum(1 for e in erased if e < horizon),
-                          latencies=tuple(lat), failures=tuple(failures))
+    report = StreamReport(erased_slots=sum(1 for p in received if p is ERASED),
+                          latencies=tuple(None if None in lat else max(lat) for lat in sym_latency))
     return packets, report
 
 
@@ -205,8 +196,8 @@ def simulate(g: GeneratorSet, length: int, seed: int,
         sent = [()] * horizon
     decoded, report = stream_decode(apply(sent, pat), g, num_source=length, values=values)
     if values:
-        for t in range(length):
-            if t not in report.failures and decoded[t] != src[t]:
+        for t, lat in enumerate(report.latencies):
+            if lat is not None and decoded[t] != src[t]:
                 raise StreamError(f"value mismatch at packet {t}")
     return report, pat
 

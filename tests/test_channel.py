@@ -57,6 +57,28 @@ class TestIsAdmissible:
         assert is_admissible(ErasurePattern.make(12, [3, 6]), 5, 3, 2)
         assert not is_admissible(ErasurePattern.make(12, [3, 5, 6]), 5, 3, 2)
 
+    def test_matches_window_by_window_reference(self):
+        """Every pattern with horizon <= 8 against a direct reading of the
+        definition: each window [s, s+W) clipped to the horizon, at least
+        one window, holds at most N erasures or one run of at most B."""
+
+        def reference(erased, horizon, W, B, N):
+            for s in range(max(horizon - W + 1, 1)):
+                hits = [e for e in erased if s <= e < min(s + W, horizon)]
+                run = hits == list(range(hits[0], hits[0] + len(hits))) if hits else True
+                if not (len(hits) <= N or (run and len(hits) <= B)):
+                    return False
+            return True
+
+        channels = [(W, B, N) for W in range(1, 10) for B in range(1, 4) for N in range(1, B + 1)]
+        for horizon in range(9):
+            for size in range(horizon + 1):
+                for combo in combinations(range(horizon), size):
+                    p = ErasurePattern(horizon, combo)
+                    for W, B, N in channels:
+                        want = reference(combo, horizon, W, B, N)
+                        assert is_admissible(p, W, B, N) == want, (combo, horizon, W, B, N)
+
     @given(st.sets(st.integers(min_value=0, max_value=11), max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_monotone_under_removal(self, idx):

@@ -92,6 +92,15 @@ class TestVerify:
         assert summary["patterns_checked"] == 4
         assert summary["failures"] == []
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "random"]])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_2(self, capsys, mode, trials):
+        code, out, err = run(capsys, "verify", "--W", "10", "--T", "9", "--B", "5", "--N", "3",
+                             "--trials", trials, *mode)
+        assert code == 2
+        assert out == ""
+        assert f"--trials must be >= 1, got {trials}" in err
+
     def test_explicit_exhaustive_over_budget_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--W", "10", "--T", "9", "--B", "5", "--N", "5",
                              "--mode", "exhaustive")

@@ -84,6 +84,12 @@ class TestExtensionField:
                 op(x, 3)
         assert x * f.embed(b) == f((3, 3))
 
+    def test_call_rejects_element_of_another_field(self):
+        f = GF(5, 2)
+        with pytest.raises(FieldMismatchError):
+            f(GF(5)(3))
+        assert f(f.alpha) is f.alpha
+
     def test_text_round_trip(self):
         f = GF(7, 3)
         x = f((6, 0, 4))

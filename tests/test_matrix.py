@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamfec.gf import GF, FieldError
+from streamfec.gf import GF, FieldError, FieldMismatchError
 from streamfec.matrix import (LinalgError, Mat, NoSolution, Underdetermined,
                               cauchy_parity)
 
@@ -26,11 +26,16 @@ class TestMul:
         z = Mat.zeros(f7, 1, 2)
         assert (z @ g).is_zero()
 
-    def test_base_field_operand_embeds(self):
+    def test_mixed_fields_need_explicit_embedding(self):
         ext = GF(2, 2)
         a = Mat.from_ints(GF(2), [[1, 0], [1, 1]])
         b = Mat(ext, [[ext.alpha], [ext.one]], 1)
-        out = a @ b
+        for op in (lambda u, v: u @ v, lambda u, v: u.hstack(v), lambda u, v: u.vstack(v)):
+            with pytest.raises(FieldMismatchError):
+                op(a, b)
+            with pytest.raises(FieldMismatchError):
+                op(b, a)
+        out = a.embed_into(ext) @ b
         assert out.field is ext
         assert out[0, 0] == ext.alpha
         assert out[1, 0] == ext.alpha + ext.one
@@ -95,11 +100,14 @@ class TestSolveLeft:
 
     def test_zero_column_inconsistent(self, f7):
         a = Mat.from_ints(f7, [[1, 0], [2, 0]])
-        assert a.solve_left([f7(1), f7(3)]) is NoSolution
+        with pytest.raises(NoSolution):
+            a.solve_left([f7(1), f7(3)])
 
     def test_rank_deficient_tagged(self, f7):
         a = Mat.from_ints(f7, [[1, 2], [2, 4]])
-        assert a.solve_left([f7(1), f7(2)]) is Underdetermined
+        with pytest.raises(Underdetermined):
+            a.solve_left([f7(1), f7(2)])
+        assert issubclass(NoSolution, LinalgError) and issubclass(Underdetermined, LinalgError)
 
     def test_round_trip_invertible(self, f7):
         rng = random.Random(5)
@@ -222,6 +230,36 @@ class TestJson:
         obj = Mat.identity(f7, 2).to_json_obj()
         obj["entries"][0][1] = [2.9]
         with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
+
+    def test_float_q_rejected_whether_or_not_cached(self):
+        # GF(113) is built nowhere else, so the first load meets an empty cache
+        obj = {"rows": 1, "cols": 1, "q": 113.0, "m": 1, "modulus": [0, 1], "entries": [[[3]]]}
+        with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
+        assert GF(113).q == 113
+        with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
+
+    @pytest.mark.parametrize("m, key, value", [(2, "m", 2.0), (1, "m", True),
+                                               (2, "modulus", [2.0, 4.0, 1.0])])
+    def test_non_integer_field_parameter_rejected(self, m, key, value):
+        obj = Mat.identity(GF(5, m), 1).to_json_obj()
+        obj[key] = value
+        with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
+
+    def test_bare_int_entry_rejected(self, f7):
+        obj = Mat.identity(f7, 1).to_json_obj()
+        obj["entries"] = [[3]]
+        with pytest.raises(LinalgError):
+            Mat.from_json_obj(obj)
+
+    @pytest.mark.parametrize("key", ["rows", "cols", "q", "m", "modulus", "entries"])
+    def test_missing_key_rejected(self, f7, key):
+        obj = Mat.identity(f7, 1).to_json_obj()
+        del obj[key]
+        with pytest.raises(LinalgError, match=key):
             Mat.from_json_obj(obj)
 
     def test_zero_row_matrix_round_trip(self, f7):

@@ -1,11 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, delay_check, encode_stream,
                               format_trace, parse_trace, simulate, stream_decode)
-from streamfec.construction import encode_block
+from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
 from streamfec.gf import FieldError
 
 
@@ -127,6 +128,32 @@ class TestDecode:
     def test_stream_too_short(self, ex1):
         with pytest.raises(StreamError):
             stream_decode([()] * 5, ex1, num_source=10)
+
+    def test_plan_only_latencies_match_golden(self, ex1, ex2):
+        """Seeded plan-only streams of ex1, ex2 and the W <= T code
+        (6,9,3,2), admissible or not, some losing slot 0 and the last slot:
+        one line per stream (code, seed, erased slots, erased_slots, then the
+        per-packet latency, - for a failure) equals tests/golden."""
+        codes = [ex1, ex2, build_code(validate_and_derive(StreamParams(6, 9, 3, 2)))]
+        lines = []
+        for g in codes:
+            d = g.derived
+            for seed in range(14):
+                rng = random.Random(seed)
+                length = rng.randint(0, 30)
+                horizon = length + d.n - 1
+                rate = (0.05, 0.1, 0.2, 0.4)[seed % 4]
+                erased = {t for t in range(horizon) if rng.random() < rate}
+                if seed % 5 == 0:
+                    erased |= {0, horizon - 1}
+                pat = ErasurePattern.make(horizon, erased)
+                _, rep = stream_decode(apply([()] * horizon, pat), g,
+                                       num_source=length, values=False)
+                lat = " ".join("-" if v is None else str(v) for v in rep.latencies)
+                lines.append(f"{d.W},{d.T},{d.B},{d.N} {seed} [{pat.to_text()}] "
+                             f"{rep.erased_slots}: {lat}")
+        golden = Path(__file__).parent / "golden" / "stream_latencies.txt"
+        assert "\n".join(lines) + "\n" == golden.read_text()
 
 
 class TestSimulate:
