@@ -138,6 +138,9 @@ def cmd_verify(args, gset=None) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        print(f"error: --trials must be >= 0, got {args.trials}", file=sys.stderr)
+        return 2
     d, g = _build(args)
     packets = erased = recovered = 0
     max_latency = 0

@@ -11,17 +11,20 @@ Two decoders over the same generator set:
   cost one linear combination per symbol.
 
 * ``decode_structured`` mirrors the algebra the code was designed around,
-  in one pipeline for both pattern kinds.  The outer symbols (first delta
-  and last k - B) fall to the rank-metric subsystem, with the unknown
-  middle symbols cancelled by a base-field null-out; each middle sub-block
-  is peeled with its Cauchy parity.  Stage 1 solves the outer symbols
+  in one pipeline for both pattern kinds.  Each stage is one solve over
+  received parity columns of P, with the known symbols moved to the
+  right-hand side.  The outer rows of P (first delta and last k - B) are
+  Gabidulin rows, so outer solves are rank-metric solves once the unknown
+  middle symbols are nulled out over the base field; each middle sub-block
+  is peeled through its Cauchy columns.  Stage 1 solves the outer symbols
   early: through the first N parity columns under arbitrary erasures, or
   through the first delta under a burst entering [0, delta).  Stage 2
   peels the affected sub-blocks in ascending order, each after an outer
   solve up to its own parity columns if outer symbols are still unknown.
-  Stage 3 solves what outer symbols remain from the full parity span.  Any
-  rank deficiency on an admissible pattern is a bug, reported as
-  StructuralFailureError.
+  Stage 3 solves what outer symbols remain from the full parity span.  A
+  solve that is not unique, or that meets an unknown symbol it does not
+  solve for, raises StructuralFailureError, so every returned value is
+  pinned by P; on an admissible pattern the error is a bug.
 
 Both report per-symbol recovery times against the per-symbol deadline
 min(i + T_eff, n - 1).
@@ -34,7 +37,7 @@ from typing import Optional
 from .gf import FieldElement
 from .matrix import Mat, NoSolution, Underdetermined
 from .channel import ERASED, ErasurePattern
-from .construction import DerivedParams, GeneratorSet, evaluate_plan
+from .construction import DerivedParams, GeneratorSet, encoder_plan, evaluate_plan
 
 
 class DecoderError(ValueError):
@@ -42,7 +45,8 @@ class DecoderError(ValueError):
 
 
 class StructuralFailureError(DecoderError):
-    """Rank deficiency on an admissible pattern; indicates a construction bug."""
+    """A structured solve that is not unique or meets an unknown it does not
+    solve for; on an admissible pattern it indicates a construction bug."""
 
 
 @dataclass(frozen=True)
@@ -173,103 +177,52 @@ def _middle_block(d: DerivedParams, i: int) -> int:
     return (i - d.delta) // d.N
 
 
-def _mrd_solve(g: GeneratorSet, y, vals: dict, targets: set[int],
-               parity_cols: list[int], interference: list[int]) -> tuple[dict, int]:
-    """Solve the rank-metric subsystem for the outer source symbols.
+def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
+           interference: list[int], stage: str) -> tuple[dict, int]:
+    """Solve for the unknown source rows over received parity columns of P.
 
-    vals holds every already-known source value; targets are the unknown
-    outer indices (subset of [0,delta) + [B,k)); parity_cols are block
-    parity column indices (within [0,B)) whose positions were received;
-    interference lists unknown middle rows to null out.  Returns recovered
-    values for the targets and the largest codeword position used.
+    Every known source value moves to the right-hand side through P; any
+    other symbol that meets cols must be in unknowns or interference.  The
+    rows in interference are nulled out over the base field: their entries
+    in cols must lie in GF(q), and the system is projected onto the right
+    kernel of that base-field block.  The outer rows of P are Gabidulin
+    rows, so they keep full rank under that projection.  Returns the
+    recovered values and the last codeword position used.
     """
     d = g.derived
-    k, B, N, delta = d.k, d.B, d.N, d.delta
-    ext = g.field()
-    base = d.base_field()
-    i0_list = list(range(delta)) + list(range(B, k))
-    k_mrd = len(i0_list)
-
-    gab_parity = g.mrd.parity()  # rows follow i0_list order, B columns
-
-    sel: list[int] = []          # column indices into mrd.gen_sys
-    rhs: list[FieldElement] = []
-    tmat_rows_cols: list[list] = [[] for _ in interference]
-    used_positions: list[int] = []
-
-    for pos_in_i0, i in enumerate(i0_list):
-        if i in vals:
-            sel.append(pos_in_i0)
-            rhs.append(vals[i])
-            for row in tmat_rows_cols:
-                row.append(base.zero)
-            used_positions.append(i)
-
-    for c in parity_cols:
-        v = y[k + c]
-        # known middles move to the right-hand side; outer symbols stay in
-        # the system (their identity pseudo-columns pin them)
-        for i in range(delta, B):
-            if i in vals and g.P[i, c]:
-                v = v - vals[i] * g.P[i, c]
-        if c >= N:
-            # Outside the shared band the block parity ignores the first
-            # delta rows while the rank-metric parity does not; shift the
-            # known top contributions across so the column matches.
-            for i in range(delta):
-                if i not in vals:
-                    raise StructuralFailureError(
-                        "top outer symbol unknown while using a late parity column")
-                v = v + vals[i] * gab_parity[i, c]
-        sel.append(k_mrd + c)
-        rhs.append(v)
-        for row, mi in zip(tmat_rows_cols, interference):
-            pe = g.P[mi, c]
-            if pe and not pe.is_base():
-                raise StructuralFailureError("interference entry outside the base field")
-            row.append(base(pe.coeffs[0]))
-        used_positions.append(k + c)
-
-    that = Mat(base, tmat_rows_cols, len(sel))
-    m_kernel = that.right_kernel_basis()
-    if not (that @ m_kernel).is_zero():
-        raise StructuralFailureError("null-out failed: interference not cancelled")
-    m_kernel = m_kernel.embed_into(ext)
-
-    am = g.mrd.gen_sys.select_columns(sel) @ m_kernel
-    rhs_m = Mat(ext, [rhs], len(sel)) @ m_kernel
-    try:
-        u = am.solve_left(rhs_m.rows[0])
-    except (NoSolution, Underdetermined) as exc:
-        raise StructuralFailureError(f"outer solve degenerate: {type(exc).__name__}") from None
-    recovered = {i: u[pos] for pos, i in enumerate(i0_list) if i in targets}
-    return recovered, max(used_positions)
-
-
-def _cauchy_solve(g: GeneratorSet, y, vals: dict, block: int,
-                  unknowns: list[int]) -> tuple[dict, int]:
-    """Solve one middle sub-block through its Cauchy parity columns."""
-    d = g.derived
-    k, N, delta = d.k, d.N, d.delta
-    ext = g.field()
-    col_lo = delta + block * N
-    avail = [c for c in range(col_lo, col_lo + N) if y[k + c] is not ERASED]
-    if len(avail) < len(unknowns):
-        raise StructuralFailureError("not enough parity columns for sub-block solve")
-    rows = []
+    if cols and cols[-1] >= d.N and unknowns[0] < d.delta:
+        raise StructuralFailureError("top outer symbol unknown while using a late parity column")
+    steps = encoder_plan(g)
+    in_system = set(unknowns) | set(interference)
     rhs = []
-    for c in avail:
-        v = y[k + c]
-        for i in range(k):
-            if i in vals and g.P[i, c]:
-                v = v - vals[i] * g.P[i, c]
+    for c in cols:
+        v = y[d.k + c]
+        for i, p in steps[c]:
+            if i in vals:
+                v = v - vals[i] * p
+            elif i not in in_system:
+                raise StructuralFailureError(
+                    f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
         rhs.append(v)
-    a = Mat(ext, [[g.P[u, c] for c in avail] for u in unknowns], len(avail))
+    a = g.P.select_rows(unknowns).select_columns(cols)
+    if interference:
+        entries = g.P.select_rows(interference).select_columns(cols)
+        if any(e and not e.is_base() for row in entries.rows for e in row):
+            raise StructuralFailureError("interference entry outside the base field")
+        base = d.base_field()
+        that = Mat(base, [[base(e.coeffs[0]) for e in row] for row in entries.rows], len(cols))
+        kernel = that.right_kernel_basis()
+        if not (that @ kernel).is_zero():
+            raise StructuralFailureError("null-out failed: interference not cancelled")
+        ext = g.field()
+        kernel = kernel.embed_into(ext)
+        a = a @ kernel
+        rhs = (Mat(ext, [rhs], len(cols)) @ kernel).rows[0]
     try:
         x = a.solve_left(rhs)
     except (NoSolution, Underdetermined) as exc:
-        raise StructuralFailureError(f"sub-block solve degenerate: {type(exc).__name__}") from None
-    return {u: x[pos] for pos, u in enumerate(unknowns)}, k + avail[-1]
+        raise StructuralFailureError(f"{stage} solve degenerate: {type(exc).__name__}") from None
+    return dict(zip(unknowns, x)), d.k + cols[-1]
 
 
 def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeReport:
@@ -284,7 +237,7 @@ def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeR
         kind = classify_pattern(ErasurePattern(d.n, tuple(sorted(erased))), d)
     vals = {i: y[i] for i in range(k) if i not in erased}
     times = {i: i for i in vals}
-    u_outer = {i for i in erased if i < delta or B <= i < k}
+    u_outer = sorted(i for i in erased if i < delta or B <= i < k)
     u_mid = sorted(i for i in erased if delta <= i < B)
     now = 0
 
@@ -294,10 +247,12 @@ def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeR
         vals.update(rec)
         times.update(dict.fromkeys(rec, now))
 
+    def received(lo: int, hi: int) -> list[int]:
+        return [c for c in range(lo, hi) if k + c not in erased]
+
     def solve_outer(hi: int) -> None:
-        parity_cols = [c for c in range(hi) if (k + c) not in erased]
         pending = [i for i in u_mid if i not in vals]
-        record(*_mrd_solve(g, y, vals, u_outer, parity_cols, pending))
+        record(*_solve(g, y, vals, u_outer, received(0, hi), pending, "outer"))
         u_outer.clear()
 
     if kind == "arbitrary" and u_outer:
@@ -308,7 +263,10 @@ def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeR
         if u_outer:
             solve_outer(delta + (block + 1) * N)
         unknowns = [i for i in u_mid if _middle_block(d, i) == block]
-        record(*_cauchy_solve(g, y, vals, block, unknowns))
+        cols = received(delta + block * N, delta + (block + 1) * N)
+        if len(cols) < len(unknowns):
+            raise StructuralFailureError("not enough parity columns for sub-block solve")
+        record(*_solve(g, y, vals, unknowns, cols, [], "sub-block"))
     if u_outer:
         solve_outer(B)
     return _report(g, times, vals)
@@ -321,18 +279,6 @@ def deadline_table(d: DerivedParams) -> dict:
     delta symbols are done by k + delta and the last k - B by B + T_eff - N.
     Middle sub-block j symbols: T_eff + delta + j*N in both families.
     """
-    arb = []
-    burst = []
-    for i in range(d.k):
-        if i < d.delta:
-            arb.append(d.T_eff)
-            burst.append(d.k + d.delta)
-        elif i < d.B:
-            j = _middle_block(d, i)
-            t = d.T_eff + d.delta + j * d.N
-            arb.append(t)
-            burst.append(t)
-        else:
-            arb.append(d.T_eff)
-            burst.append(d.B + d.T_eff - d.N)
-    return {"arbitrary": arb, "burst": burst}
+    middle = [d.T_eff + d.delta + _middle_block(d, i) * d.N for i in range(d.delta, d.B)]
+    return {"arbitrary": [d.T_eff] * d.delta + middle + [d.T_eff] * (d.k - d.B),
+            "burst": [d.k + d.delta] * d.delta + middle + [d.B + d.T_eff - d.N] * (d.k - d.B)}

@@ -327,7 +327,10 @@ class Field:
         return FieldElement(self, coeffs)
 
     def from_text(self, text: str) -> FieldElement:
-        return self(tuple(int(t) for t in text.split(",")))
+        tokens = text.split(",")
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            raise FieldError(f"expected comma-separated decimal integers, got {text!r}")
+        return self(tuple(int(t) for t in tokens))
 
     def embed(self, a: FieldElement) -> FieldElement:
         """Embed a prime-subfield element into this field."""

@@ -252,10 +252,12 @@ class Mat:
         missing = [key for key in ("rows", "cols", "q", "m", "modulus", "entries") if key not in obj]
         if missing:
             raise LinalgError(f"JSON matrix lacks {', '.join(missing)}")
+        seq, entries = (list, tuple), obj["entries"]
+        if not isinstance(obj["modulus"], seq) or not isinstance(entries, seq) or any(
+                not isinstance(r, seq) or any(not isinstance(c, seq) for c in r) for r in entries):
+            raise LinalgError("JSON matrix modulus and entries must be coefficient lists")
         f = GF(obj["q"], obj["m"], tuple(obj["modulus"]))
-        if any(not isinstance(c, (list, tuple)) for r in obj["entries"] for c in r):
-            raise LinalgError("JSON matrix entries must be coefficient lists")
-        m = cls(f, [[f(tuple(c)) for c in r] for r in obj["entries"]], obj["cols"])
+        m = cls(f, [[f(tuple(c)) for c in r] for r in entries], obj["cols"])
         if (m.nrows, m.ncols) != (obj["rows"], obj["cols"]):
             raise LinalgError("JSON shape mismatch")
         return m

@@ -153,6 +153,13 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out) == {}
 
+    def test_negative_trials_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--W", "10", "--T", "9", "--B", "5",
+                             "--N", "3", "--trials", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--trials must be >= 0, got -1" in err
+
 
 class TestExport:
     def test_stdout(self, capsys):

@@ -21,6 +21,16 @@ def received(g, s, erased):
     return apply(x, ErasurePattern.make(g.derived.n, erased))
 
 
+def mutated(g, i, c):
+    """g with P[i, c] increased by one, G kept consistent, no cached plans."""
+    d = g.derived
+    rows = g.G.copy_rows()
+    rows[i][d.k + c] = rows[i][d.k + c] + g.field().one
+    bad_g = Mat(g.field(), rows, d.n)
+    return dataclasses.replace(g, G=bad_g, P=bad_g.select_columns(list(range(d.k, d.n))),
+                               _plan_cache={})
+
+
 class TestOracle:
     def test_clean_block_recovers_at_own_slot(self, ex1):
         rng = random.Random(0)
@@ -218,14 +228,7 @@ class TestStructuredPipelines:
 
     def test_mutated_generator_detected(self, ex1):
         d = ex1.derived
-        ext = ex1.field()
-        rows = ex1.G.copy_rows()
-        rows[3][d.k + 1] = rows[3][d.k + 1] + ext.one
-        from streamfec.matrix import Mat
-        bad_g = Mat(ext, rows, d.n)
-        bad = dataclasses.replace(
-            ex1, G=bad_g,
-            P=bad_g.select_columns(list(range(d.k, d.n))), _plan_cache={})
+        bad = mutated(ex1, 3, 1)
         rng = random.Random(10)
         s = random_block(ex1, rng)
         x = encode_block(s, bad)
@@ -240,6 +243,38 @@ class TestStructuredPipelines:
             if rep.values() != s:
                 wrong += 1
         assert wrong > 0
+
+    @pytest.mark.parametrize("fixture, row, col", [("ex1", 0, 1), ("ex2", 6, 2)])
+    def test_decodes_the_code_it_is_given(self, fixture, row, col, request):
+        """With one outer entry of P changed, every pattern the oracle still
+        recovers decodes to the source: the decoder reads P, not a copy of
+        the Gabidulin parity.  ex1 mutates a top row, ex2 a bottom row."""
+        g = request.getfixturevalue(fixture)
+        d = g.derived
+        bad = mutated(g, row, col)
+        s = random_block(g, random.Random(13))
+        x = encode_block(s, bad)
+        checked = 0
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
+            y = apply(x, p)
+            if oracle_decode(bad, y).ok():
+                assert decode_structured(bad, y).values() == s, p.to_text()
+                checked += 1
+        assert checked > 0
+
+    def test_off_band_entry_never_decodes_wrong(self, ex2):
+        """A row of ex2's second sub-block given an entry in the first
+        sub-block's parity column: each decode returns the source or raises."""
+        d = ex2.derived
+        bad = mutated(ex2, 2, 0)
+        s = random_block(ex2, random.Random(13))
+        x = encode_block(s, bad)
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
+            try:
+                rep = decode_structured(bad, apply(x, p))
+            except StructuralFailureError:
+                continue
+            assert rep.values() == s, p.to_text()
 
 
 class TestDeadlineTable:

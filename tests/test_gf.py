@@ -98,7 +98,8 @@ class TestExtensionField:
 
     def test_out_of_range_coefficients_rejected(self):
         f = GF(7, 9)
-        for text in ("9,0,0,0,0,0,0,0,0", "7,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,-1"):
+        for text in ("9,0,0,0,0,0,0,0,0", "7,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,-1",
+                     "a,0,0,0,0,0,0,0,0", "1,,0,0,0,0,0,0,0", "0_1,0,0,0,0,0,0,0,0"):
             with pytest.raises(FieldError):
                 f.from_text(text)
         assert f.from_text("6,0,0,0,0,0,0,0,0") == f(6)

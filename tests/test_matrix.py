@@ -255,6 +255,13 @@ class TestJson:
         with pytest.raises(LinalgError):
             Mat.from_json_obj(obj)
 
+    @pytest.mark.parametrize("key, value", [("entries", 5), ("entries", [3]), ("modulus", 3)])
+    def test_non_list_rejected(self, f7, key, value):
+        obj = Mat.identity(f7, 1).to_json_obj()
+        obj[key] = value
+        with pytest.raises(LinalgError, match=key):
+            Mat.from_json_obj(obj)
+
     @pytest.mark.parametrize("key", ["rows", "cols", "q", "m", "modulus", "entries"])
     def test_missing_key_rejected(self, f7, key):
         obj = Mat.identity(f7, 1).to_json_obj()

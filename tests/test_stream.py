@@ -195,6 +195,10 @@ class TestTrace:
         with pytest.raises(FieldError):
             parse_trace("0: 9,0,0,0,0,0,0,0,0\n", ex1.field(), ex1.derived.n)
 
+    def test_non_integer_coefficient_rejected(self, ex1):
+        with pytest.raises(FieldError):
+            parse_trace("0: x\n", ex1.field(), ex1.derived.n)
+
     def test_wrong_width_rejected(self, ex1):
         one, two = "0,0,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,0,1 0,0,0,0,0,0,0,0,2"
         with pytest.raises(StreamError, match="packet 0 has 1 symbols"):
