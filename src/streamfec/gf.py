@@ -8,7 +8,10 @@ constant-term-first) so that every exported matrix is bit-reproducible.
 
 No tables, no floating point: all operations are exact integer arithmetic.
 Multiplication uses Kronecker substitution (one big-integer multiply per
-product) which keeps GF(7^9)-sized fields fast without q^m-sized tables.
+product) which keeps GF(7^9)-sized fields fast without q^m-sized tables;
+a product with an operand in the prime subfield GF(q) skips it and scales
+the other operand's coefficients.  Inversion runs the extended Euclidean
+algorithm over Z_q[x] against the modulus, not a q^m - 2 power.
 """
 from __future__ import annotations
 
@@ -50,7 +53,8 @@ def next_prime(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Polynomials over Z_q, as coefficient lists, constant term first.
-# Used only for modulus selection; element arithmetic lives in Field.
+# Used for modulus selection and for the Euclidean inverse; multiplication
+# of elements lives in Field.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p: list[int]) -> list[int]:
@@ -70,18 +74,34 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_mod(a: Sequence[int], f: Sequence[int], q: int) -> list[int]:
-    # f monic
+def _poly_sub(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % q
+    return _poly_trim(out)
+
+
+def _poly_divmod(a: Sequence[int], f: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by f; f is trimmed and nonzero, not
+    necessarily monic: each step cancels the leading term through the
+    inverse of f's leading coefficient."""
     r = list(a)
     df = len(f) - 1
+    lead_inv = pow(f[-1], q - 2, q)
+    quot = [0] * max(len(r) - df, 0)
     while len(r) - 1 >= df and r:
-        c = r[-1]
+        c = r[-1] * lead_inv % q
         if c:
             shift = len(r) - 1 - df
+            quot[shift] = c
             for i in range(df + 1):
                 r[shift + i] = (r[shift + i] - c * f[i]) % q
         r.pop()
-    return _poly_trim(r)
+    return _poly_trim(quot), _poly_trim(r)
+
+
+def _poly_mod(a: Sequence[int], f: Sequence[int], q: int) -> list[int]:
+    return _poly_divmod(a, f, q)[1]
 
 
 def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], q: int) -> list[int]:
@@ -135,20 +155,12 @@ def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
             return False
     f = list(coeffs)
     x = [0, 1]
-
-    def sub_x(h: Sequence[int]) -> list[int]:
-        diff = [0] * max(len(h), 2)
-        for i, c in enumerate(h):
-            diff[i] = c
-        diff[1] = (diff[1] - 1) % q
-        return _poly_trim(diff)
-
     # x^(q^m) == x mod f
-    if sub_x(_poly_powmod(x, q ** m, f, q)):
+    if _poly_sub(_poly_powmod(x, q ** m, f, q), x, q):
         return False
     # gcd(x^(q^(m/p)) - x, f) == 1 for every prime p | m
     for p in _prime_factors(m):
-        d = sub_x(_poly_powmod(x, q ** (m // p), f, q))
+        d = _poly_sub(_poly_powmod(x, q ** (m // p), f, q), x, q)
         if len(_poly_gcd(d, f, q)) != 1:
             return False
     return True
@@ -250,10 +262,23 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
+        """Extended Euclid over Z_q[x] against the modulus; Fermat in GF(q)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        return self ** (f.order - 2)
+        q, m = f.q, f.m
+        if m == 1:
+            return FieldElement(f, (pow(self.coeffs[0], q - 2, q),))
+        # invariant: s_i * self == r_i mod the modulus; the modulus is
+        # irreducible, so the remainders reach a nonzero constant
+        r0, r1 = list(f.modulus), _poly_trim(list(self.coeffs))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quot, rem = _poly_divmod(r0, r1, q)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1, q), q)
+        c = pow(r1[0], q - 2, q)
+        return FieldElement(f, tuple(v * c % q for v in s1) + (0,) * (m - len(s1)))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -346,8 +371,14 @@ class Field:
         q, m = self.q, self.m
         if m == 1:
             return ((a.coeffs[0] * b.coeffs[0]) % q,)
-        prod = a._packed() * b._packed()
+        pa, pb = a._packed(), b._packed()
         s, mask = self._slot, self._mask
+        # an operand in the prime subfield packs to its constant term
+        if pa <= mask:
+            return tuple(c * pa % q for c in b.coeffs)
+        if pb <= mask:
+            return tuple(c * pb % q for c in a.coeffs)
+        prod = pa * pb
         conv = [(prod >> (s * i)) & mask for i in range(2 * m - 1)]
         out = conv[:m]
         red = self._red

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over GF(q) / GF(q^m).
 
 Everything is elimination-based with first-nonzero pivoting; there is no
-tolerance anywhere.  Kernel bases and reduced echelon forms are computed
-deterministically (free columns taken in increasing order) so that decoder
-outputs are reproducible run to run.
+tolerance anywhere.  Storage is dense, but Mat.rref's row operations run
+over the pivot row's nonzero entries only.  Kernel bases and reduced echelon
+forms are computed deterministically (free columns taken in increasing
+order) so that decoder outputs are reproducible run to run.
 
 Matrices may have zero rows or zero columns; the column count is tracked
 explicitly so degenerate shapes survive slicing and stacking.
@@ -153,7 +154,12 @@ class Mat:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and its pivot column list."""
+        """Reduced row echelon form and its pivot column list.
+
+        Row operations touch only the pivot row's nonzero columns: the pivot
+        row is scaled there, and each other row is updated there alone.
+        Every other entry would be multiplied by or reduced with a zero.
+        """
         rows = self.copy_rows()
         nr, nc = len(rows), self.ncols
         pivots: list[int] = []
@@ -165,12 +171,18 @@ class Mat:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [v * inv for v in rows[r]]
+            prow = rows[r]
+            # rows r.. are zero left of c, so prow's support starts at c
+            support = [j for j in range(c, nc) if prow[j]]
+            inv = prow[c].inverse()
+            for j in support:
+                prow[j] = prow[j] * inv
             for i in range(nr):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                row = rows[i]
+                if i != r and row[c]:
+                    f = row[c]
+                    for j in support:
+                        row[j] = row[j] - f * prow[j]
             pivots.append(c)
             r += 1
         return Mat(self.field, rows, nc), pivots

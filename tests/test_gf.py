@@ -1,11 +1,33 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfec.gf import (GF, FieldError, FieldMismatchError, alpha_power_basis,
+from streamfec.gf import (GF, Field, FieldError, FieldMismatchError, alpha_power_basis,
                           find_irreducible, frobenius, is_irreducible, is_prime,
                           next_prime)
+
+
+def _monic_polys(q, m):
+    """Every monic degree-m polynomial over Z_q, constant term first."""
+    return [lower + (1,) for lower in itertools.product(range(q), repeat=m)]
+
+
+def _product(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return tuple(out)
+
+
+def _brute_irreducibles(q, m):
+    """Monic degree-m irreducibles over Z_q: those that are no product of two
+    monic polynomials of positive degree, found by multiplying all pairs."""
+    reducible = {_product(a, b, q) for d in range(1, m // 2 + 1)
+                 for a in _monic_polys(q, d) for b in _monic_polys(q, m - d)}
+    return [p for p in _monic_polys(q, m) if p not in reducible]
 
 
 def test_prime_helpers():
@@ -149,6 +171,9 @@ class TestFindIrreducible:
         assert find_irreducible(2, 3) == (1, 0, 1, 1)
         assert find_irreducible(3, 3) == (1, 0, 2, 1)
         assert find_irreducible(2, 5) == (1, 0, 0, 1, 0, 1)
+        # these two need the gcd to divide by non-monic remainders
+        assert find_irreducible(3, 6) == (1, 0, 0, 0, 1, 1, 1)
+        assert GF(3, 5, (2, 0, 0, 2, 2, 1)).modulus == (2, 0, 0, 2, 2, 1)
 
     def test_construction_scale_moduli(self):
         assert find_irreducible(7, 9) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
@@ -174,6 +199,30 @@ class TestFindIrreducible:
                 for lower in itertools.product(range(q), repeat=deg):
                     g = list(lower) + [1]
                     assert _poly_mod(f, g, q) != [] or g == f
+
+    @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3) for m in range(2, 7)]
+                             + [(q, m) for q in (5, 7) for m in range(2, 5)])
+    def test_is_irreducible_matches_brute_force(self, q, m):
+        irreducible = set(_brute_irreducibles(q, m))
+        for cand in _monic_polys(q, m):
+            assert is_irreducible(cand, q) == (cand in irreducible), cand
+
+    @pytest.mark.parametrize("q,m", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 5),
+                                     (3, 6), (5, 3), (7, 3)])
+    def test_find_irreducible_is_brute_force_lex_smallest(self, q, m):
+        assert find_irreducible(q, m) == min(_brute_irreducibles(q, m))
+
+    @pytest.mark.parametrize("q,g,h", [
+        (5, (4, 0, 3, 1), (4, 0, 2, 4, 1, 4, 2, 3, 0, 1, 3, 3, 0, 2, 3, 1)),
+        (13, (9, 11, 5, 5, 1),
+         (3, 5, 11, 11, 12, 0, 12, 2, 4, 9, 6, 4, 8, 1, 3, 1, 0, 2, 1, 12, 1))])
+    def test_reducible_moduli_rejected(self, q, g, h):
+        # x^18 + x^17 + x^16 + 1 over Z_5 and x^24 + 4x^23 + x^22 + 1 over Z_13
+        # divide x^(q^m) - x, so only the gcd step can reject them
+        f = _product(g, h, q)
+        assert not is_irreducible(f, q)
+        with pytest.raises(FieldError):
+            GF(q, len(f) - 1, f)
 
     def test_is_minimal_in_lex_order(self):
         q, m = 7, 2
@@ -231,6 +280,90 @@ def test_inverse_round_trip(q, m):
         a = f.random_element(rng)
         if a:
             assert a * a.inverse() == f.one
+
+
+# (q, m, sample): every nonzero element when sample is None, else that
+# many seeded random nonzero elements
+INVERSE_FIELDS = [(2, 1, None), (7, 1, None), (2, 5, None), (3, 4, None), (13, 3, None),
+                  (5, 9, 300), (7, 9, 300)]
+
+
+def _nonzero_elements(f, sample):
+    if sample is None:
+        return [f(c) for c in itertools.product(range(f.q), repeat=f.m) if any(c)]
+    rng = random.Random(f.q * 1000 + f.m)
+    out = []
+    while len(out) < sample:
+        a = f.random_element(rng)
+        if a:
+            out.append(a)
+    return out
+
+
+class TestInverse:
+    @pytest.mark.parametrize("q,m,sample", INVERSE_FIELDS)
+    def test_equals_fermat_reference(self, q, m, sample):
+        f = GF(q, m)
+        for a in _nonzero_elements(f, sample):
+            assert a.inverse() == a ** (f.order - 2)
+
+    def test_extension_inverse_makes_no_field_multiply(self, monkeypatch):
+        calls = []
+        generic = Field._mul_coeffs
+
+        def counting(self, a, b):
+            calls.append(1)
+            return generic(self, a, b)
+
+        monkeypatch.setattr(Field, "_mul_coeffs", counting)
+        f = GF(7, 9)
+        a = f((3, 1, 4, 1, 5, 0, 2, 6, 5))
+        inv = a.inverse()
+        assert calls == []
+        assert a * inv == f.one and calls == [1]
+
+    @pytest.mark.parametrize("q,m", [(7, 1), (2, 5), (7, 9)])
+    def test_zero_division_and_quotients(self, q, m):
+        f = GF(q, m)
+        with pytest.raises(ZeroDivisionError):
+            f.zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            f.one / f.zero
+        with pytest.raises(ZeroDivisionError):
+            f.zero ** -1
+        rng = random.Random(q + m)
+        for a in _nonzero_elements(f, 20 if f.order > 50 else None):
+            b = f.random_element(rng)
+            assert (b / a) * a == b
+            assert a ** -1 == a.inverse()
+            assert a ** -3 * (a * a * a) == f.one
+
+
+def _schoolbook_product(f, a, b):
+    """a * b by polynomial product and long division by the monic modulus."""
+    q, m = f.q, f.m
+    prod = list(_product(a.coeffs, b.coeffs, q))
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d]
+        for i, r in enumerate(f.modulus):
+            prod[d - m + i] = (prod[d - m + i] - c * r) % q
+    return f(tuple(prod[:m]))
+
+
+@pytest.mark.parametrize("q,m", [(7, 9), (5, 9), (2, 4), (3, 6)])
+def test_prime_subfield_products_match_generic(q, m):
+    f = GF(q, m)
+    rng = random.Random(q * 10 + m)
+    others = [f.zero, f.one, f.alpha] + [f.random_element(rng) for _ in range(30)]
+    for s in range(q):
+        scalar = f(s)
+        for x in others:
+            want = _schoolbook_product(f, scalar, x)
+            assert scalar * x == want
+            assert x * scalar == want
+    for _ in range(100):
+        x, y = f.random_element(rng), f.random_element(rng)
+        assert x * y == _schoolbook_product(f, x, y)
 
 
 @given(st.integers(min_value=0, max_value=7 ** 3 - 1),

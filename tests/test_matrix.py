@@ -62,6 +62,76 @@ class TestRank:
             assert a.rank() == a.transpose().rank()
 
 
+def _dense_rref(self):
+    """The full-row elimination loop Mat.rref replaced, kept as a reference."""
+    rows = self.copy_rows()
+    nr, nc = len(rows), self.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(self.field, rows, nc), pivots
+
+
+def _sparse_mat(field, r, c, density, rng):
+    return Mat(field, [[field.random_element(rng) if rng.random() < density else field.zero
+                        for _ in range(c)] for _ in range(r)], c)
+
+
+def _elimination_cases(field, density, rng):
+    """Seeded matrices of many shapes: wide, tall, square, empty, with zero
+    rows and columns, and rank-deficient products of thin factors."""
+    out = [Mat.zeros(field, 0, 4), Mat.zeros(field, 3, 0), Mat.zeros(field, 3, 5)]
+    for r, c in [(1, 1), (3, 8), (8, 3), (5, 5), (6, 12)]:
+        for _ in range(3):
+            out.append(_sparse_mat(field, r, c, density, rng))
+    for r, c, inner in [(5, 5, 2), (4, 7, 3), (7, 4, 1)]:
+        out.append(_sparse_mat(field, r, inner, density, rng)
+                   @ _sparse_mat(field, inner, c, density, rng))
+    a = _sparse_mat(field, 6, 6, density, rng)
+    z = field.zero
+    out.append(Mat(field, [[z if j == 2 else v for j, v in enumerate(row)] if i != 3 else [z] * 6
+                           for i, row in enumerate(a.rows)], 6))
+    return out
+
+
+def _outcome(call):
+    try:
+        return call()
+    except LinalgError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("q,m", [(7, 9), (5, 9), (7, 1), (2, 1)])
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+def test_sparse_elimination_matches_dense_reference(q, m, density, monkeypatch):
+    field = GF(q, m)
+    rng = random.Random(q * 100 + m * 10 + int(density * 10))
+    for a in _elimination_cases(field, density, rng):
+        x = [field.random_element(rng) for _ in range(a.nrows)]
+        rhs = [(Mat(field, [x], a.nrows) @ a).rows[0] if a.nrows else [field.zero] * a.ncols,
+               [field.random_element(rng) for _ in range(a.ncols)]]
+        got = (a.rref(), a.right_kernel_basis(), [_outcome(lambda: a.solve_left(y)) for y in rhs])
+        with monkeypatch.context() as mp:
+            mp.setattr(Mat, "rref", _dense_rref)
+            want = (a.rref(), a.right_kernel_basis(),
+                    [_outcome(lambda: a.solve_left(y)) for y in rhs])
+        assert got == want
+
+
 class TestRightKernel:
     def test_identity_has_trivial_kernel(self, f7):
         assert Mat.identity(f7, 4).right_kernel_basis().ncols == 0
