@@ -262,13 +262,12 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """Extended Euclid over Z_q[x] against the modulus; Fermat in GF(q)."""
+        """Extended Euclid over Z_q[x] against the modulus; the final
+        constant (the element itself in GF(q)) is inverted by Fermat."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
         q, m = f.q, f.m
-        if m == 1:
-            return FieldElement(f, (pow(self.coeffs[0], q - 2, q),))
         # invariant: s_i * self == r_i mod the modulus; the modulus is
         # irreducible, so the remainders reach a nonzero constant
         r0, r1 = list(f.modulus), _poly_trim(list(self.coeffs))
