@@ -163,12 +163,11 @@ def evaluate_plan(steps, x, zero):
     """Sum of coeff * x[pos] over the (pos, coeff) steps of a plan.
 
     Every linear map of the code is a plan: a parity symbol over the source
-    symbols, a recovered symbol over the received ones.
+    symbols, a recovered symbol over the received ones.  It is one
+    ``Field.dot`` in the field of ``zero``: the raw products are summed and
+    the sum reduced once.
     """
-    acc = zero
-    for pos, coeff in steps:
-        acc = acc + coeff * x[pos]
-    return acc
+    return zero.field.dot([(coeff, x[pos]) for pos, coeff in steps])
 
 
 def encoder_plan(g: GeneratorSet) -> tuple:

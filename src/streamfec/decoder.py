@@ -40,6 +40,12 @@ from .channel import ERASED, ErasurePattern
 from .construction import DerivedParams, GeneratorSet, encoder_plan, evaluate_plan
 
 
+# Most oracle plans one generator set caches.  Every admissible diagonal
+# pattern of ex1 (443) fits; inadmissible loss could otherwise fill the
+# cache with up to 2^n patterns.  Plans past the cap are computed, not kept.
+ORACLE_PLAN_CAP = 4096
+
+
 class DecoderError(ValueError):
     pass
 
@@ -110,7 +116,7 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     e_i = sum_l E[l, i] * (l-th basis column), a combination that is unique
     over the basis, and its time is the arrival of the last basis column it
     uses.  The plan depends only on the pattern, not on the symbol values,
-    and is cached on the generator set.
+    and is cached on the generator set, up to ORACLE_PLAN_CAP patterns.
     """
     key = ("oracle", erased)
     cached = g._plan_cache.get(key)
@@ -129,7 +135,9 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
             steps = tuple((pos, c) for pos, c in zip(basis, col) if c)
             plan[i] = (steps[-1][0], steps)
 
-    g._plan_cache[key] = plan
+    cache = g._plan_cache
+    if len(cache) - ("encoder" in cache) < ORACLE_PLAN_CAP:
+        cache[key] = plan
     return plan
 
 

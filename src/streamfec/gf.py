@@ -7,11 +7,18 @@ lexicographically smallest irreducible polynomial, coefficients compared
 constant-term-first) so that every exported matrix is bit-reproducible.
 
 No tables, no floating point: all operations are exact integer arithmetic.
-Multiplication uses Kronecker substitution (one big-integer multiply per
-product) which keeps GF(7^9)-sized fields fast without q^m-sized tables;
-a product with an operand in the prime subfield GF(q) skips it and scales
-the other operand's coefficients.  Inversion runs the extended Euclidean
-algorithm over Z_q[x] against the modulus, not a q^m - 2 power.
+An element is stored packed, as one integer with coefficient i in Kronecker
+slot i, and the coefficient tuple is derived from it on demand.  Addition,
+subtraction and negation act on every slot at once with a fixed number of
+big-integer operations: add, then subtract q from each slot that holds q or
+more, found by a per-slot bias that carries exactly those slots into the
+slot's top bit.  A product is one big-integer multiply of the packed
+operands followed by one reduction, which folds each slot of degree >= m
+back through alpha^d mod the modulus and takes every slot mod q.
+``Field.dot`` sums many raw products before that single reduction: slots
+are wide enough for DOT_TERMS products, and a longer sum reduces in chunks.
+Inversion runs the extended Euclidean algorithm over Z_q[x] against the
+modulus, not a q^m - 2 power.
 """
 from __future__ import annotations
 
@@ -193,60 +200,59 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
 # Field spec and elements
 # ---------------------------------------------------------------------------
 
+# Raw products a Field.dot accumulates before it reduces; the slot width of
+# every field is sized so that this many never carry out of a slot.
+DOT_TERMS = 64
+
+
 class FieldElement:
-    """Immutable element of a :class:`Field`, stored as a coefficient tuple."""
+    """Immutable element of a :class:`Field`, stored packed: coefficient i
+    sits in Kronecker slot i of the integer ``pk``."""
 
-    __slots__ = ("field", "coeffs", "_pk")
+    __slots__ = ("field", "pk")
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...]):
+    def __init__(self, field: "Field", pk: int):
         self.field = field
-        self.coeffs = coeffs
-        self._pk = None
+        self.pk = pk
 
-    def _packed(self) -> int:
-        pk = self._pk
-        if pk is None:
-            s = self.field._slot
-            pk = 0
-            for c in reversed(self.coeffs):
-                pk = (pk << s) | c
-            self._pk = pk
-        return pk
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients in the power basis, constant term first."""
+        s, mask, pk = self.field._slot, self.field._mask, self.pk
+        return tuple((pk >> (s * i)) & mask for i in range(self.field.m))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.pk != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.pk == other.pk
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.pk))
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             raise _operand_error(f, other)
-        q = f.q
-        return FieldElement(f, tuple((x + y) % q for x, y in zip(self.coeffs, other.coeffs)))
+        return FieldElement(f, f._wrap(self.pk + other.pk))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             raise _operand_error(f, other)
-        q = f.q
-        return FieldElement(f, tuple((x - y) % q for x, y in zip(self.coeffs, other.coeffs)))
+        return FieldElement(f, f._wrap(self.pk + f._slot_q - other.pk))
 
     def __neg__(self) -> "FieldElement":
-        q = self.field.q
-        return FieldElement(self.field, tuple((-x) % q for x in self.coeffs))
+        f = self.field
+        return FieldElement(f, f._wrap(f._slot_q - self.pk))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             raise _operand_error(f, other)
-        return FieldElement(f, f._mul_coeffs(self, other))
+        return FieldElement(f, f._reduce(self.pk * other.pk))
 
     def __pow__(self, e: int) -> "FieldElement":
         f = self.field
@@ -267,7 +273,7 @@ class FieldElement:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        q, m = f.q, f.m
+        q = f.q
         # invariant: s_i * self == r_i mod the modulus; the modulus is
         # irreducible, so the remainders reach a nonzero constant
         r0, r1 = list(f.modulus), _poly_trim(list(self.coeffs))
@@ -277,14 +283,14 @@ class FieldElement:
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1, q), q)
         c = pow(r1[0], q - 2, q)
-        return FieldElement(f, tuple(v * c % q for v in s1) + (0,) * (m - len(s1)))
+        return FieldElement(f, f._pack([v * c % q for v in s1]))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
     def is_base(self) -> bool:
         """True when the element lies in the prime subfield."""
-        return not any(self.coeffs[1:])
+        return self.pk >> self.field._slot == 0
 
     def to_text(self) -> str:
         """Wire form: decimal residues, constant term first, comma separated."""
@@ -324,15 +330,23 @@ class Field:
         self.m = m
         self.modulus = tuple(modulus)
         self.order = q ** m
-        # Kronecker slot width: slots must hold any convolution coefficient.
-        self._slot = max(m * (q - 1) ** 2, 1).bit_length() + 1
-        self._mask = (1 << self._slot) - 1
-        # alpha^d mod modulus for d in [m, 2m-2], as coefficient tuples
-        reduced = (_poly_mod([0] * d + [1], modulus, q) for d in range(m, 2 * m - 1))
-        self._red = [tuple(r + [0] * (m - len(r))) for r in reduced]
-        self.zero = FieldElement(self, (0,) * m)
-        self.one = FieldElement(self, (1,) + (0,) * (m - 1))
-        self.alpha = FieldElement(self, (0, 1) + (0,) * (m - 2)) if m >= 2 else self.one
+        # Kronecker slot width.  A raw product puts at most m (q-1)^2 in a
+        # slot, a dot sums DOT_TERMS of them, and _reduce's fold adds up to
+        # (m-1) (q-1)^2 more to each low slot: the slot holds all of it.
+        s = ((DOT_TERMS * m + m - 1) * (q - 1) ** 2).bit_length()
+        self._slot = s
+        self._mask = (1 << s) - 1
+        self._low = (1 << (s * m)) - 1
+        self._shifts = tuple(range(s * (m - 1), -1, -s))
+        # per slot: q, the bias that lifts q to the slot's top bit, that bit
+        self._slot_q = self._pack([q] * m)
+        self._bias = self._pack([(1 << (s - 1)) - q] * m)
+        self._top = self._pack([1 << (s - 1)] * m)
+        # alpha^d mod modulus for d in [m, 2m-2], packed
+        self._red = [self._pack(_poly_mod([0] * d + [1], modulus, q)) for d in range(m, 2 * m - 1)]
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
+        self.alpha = FieldElement(self, 1 << s) if m >= 2 else self.one
 
     # -- construction ------------------------------------------------------
 
@@ -342,13 +356,13 @@ class Field:
                 return value
             raise _operand_error(self, value)
         if isinstance(value, int):
-            return FieldElement(self, (value % self.q,) + (0,) * (self.m - 1))
+            return FieldElement(self, value % self.q)
         coeffs = tuple(value)
         if len(coeffs) != self.m:
             raise FieldError(f"expected {self.m} coefficients, got {len(coeffs)}")
         if any(type(c) is not int or not 0 <= c < self.q for c in coeffs):
             raise FieldError(f"coefficients must be int residues in [0, {self.q}), got {coeffs}")
-        return FieldElement(self, coeffs)
+        return FieldElement(self, self._pack(coeffs))
 
     def from_text(self, text: str) -> FieldElement:
         tokens = text.split(",")
@@ -362,37 +376,58 @@ class Field:
             return a
         if a.field.q != self.q or a.field.m != 1:
             raise FieldMismatchError(f"cannot embed {a.field!r} element into {self!r}")
-        return FieldElement(self, (a.coeffs[0],) + (0,) * (self.m - 1))
+        return FieldElement(self, a.pk)
 
-    # -- arithmetic on coefficient tuples ---------------------------------
+    # -- arithmetic on packed integers ------------------------------------
 
-    def _mul_coeffs(self, a: FieldElement, b: FieldElement) -> tuple[int, ...]:
-        q, m = self.q, self.m
-        if m == 1:
-            return ((a.coeffs[0] * b.coeffs[0]) % q,)
-        pa, pb = a._packed(), b._packed()
-        s, mask = self._slot, self._mask
-        # an operand in the prime subfield packs to its constant term
-        if pa <= mask:
-            return tuple(c * pa % q for c in b.coeffs)
-        if pb <= mask:
-            return tuple(c * pb % q for c in a.coeffs)
-        prod = pa * pb
-        conv = [(prod >> (s * i)) & mask for i in range(2 * m - 1)]
-        out = conv[:m]
-        red = self._red
-        for d in range(m, 2 * m - 1):
-            c = conv[d]
+    def _pack(self, coeffs: Sequence[int]) -> int:
+        """Coefficient i into slot i; missing high coefficients are zero."""
+        s, pk = self._slot, 0
+        for c in reversed(coeffs):
+            pk = (pk << s) | c
+        return pk
+
+    def _wrap(self, v: int) -> int:
+        """Subtract q from every slot of v that holds q to 2q - 1.  The bias
+        carries exactly those slots into their top bit."""
+        return v - (((v + self._bias) & self._top) >> (self._slot - 1)) * self.q
+
+    def _reduce(self, v: int) -> int:
+        """The packed element of a sum of raw packed products: each slot
+        d >= m folds back, mod q, through alpha^d mod the modulus, then
+        every low slot is taken mod q."""
+        q, s, mask = self.q, self._slot, self._mask
+        lo, hi = v & self._low, v >> (s * self.m)
+        for r in self._red:
+            if not hi:
+                break
+            c = (hi & mask) % q
             if c:
-                r = red[d - m]
-                for i in range(m):
-                    ri = r[i]
-                    if ri:
-                        out[i] += c * ri
-        return tuple(v % q for v in out)
+                lo += c * r
+            hi >>= s
+        out = 0
+        for sh in self._shifts:
+            out = (out << s) | ((lo >> sh) & mask) % q
+        return out
+
+    def dot(self, pairs: Iterable[tuple[FieldElement, FieldElement]]) -> FieldElement:
+        """Sum of a * b over the pairs, with one reduction per DOT_TERMS
+        products: the raw products add up slot by slot, carry-free."""
+        acc = n = 0
+        for a, b in pairs:
+            if a.__class__ is not FieldElement or a.field is not self:
+                raise _operand_error(self, a)
+            if b.__class__ is not FieldElement or b.field is not self:
+                raise _operand_error(self, b)
+            if n == DOT_TERMS:
+                # the reduced sum takes one product's room in each slot
+                acc, n = self._reduce(acc), 1
+            acc += a.pk * b.pk
+            n += 1
+        return FieldElement(self, self._reduce(acc))
 
     def random_element(self, rng) -> FieldElement:
-        return FieldElement(self, tuple(rng.randrange(self.q) for _ in range(self.m)))
+        return FieldElement(self, self._pack([rng.randrange(self.q) for _ in range(self.m)]))
 
     def __repr__(self):
         return f"GF({self.q})" if self.m == 1 else f"GF({self.q}^{self.m})"

@@ -109,22 +109,13 @@ class Mat:
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """The product; each entry is one ``Field.dot`` of a row and a column."""
         f = _same_field(self, other)
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch in mul: {self.ncols} vs {other.nrows}")
         bt = other.transpose().rows
-        zero = f.zero
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                acc = zero
-                for x, y in zip(ra, cb):
-                    if x and y:
-                        acc = acc + x * y
-                row.append(acc)
-            out.append(row)
-        return Mat(f, out, other.ncols)
+        dot = f.dot
+        return Mat(f, [[dot(zip(ra, cb)) for cb in bt] for ra in self.rows], other.ncols)
 
     def is_zero(self) -> bool:
         return all(not v for r in self.rows for v in r)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from streamfec.construction import StreamParams, validate_and_derive, build_code
+from streamfec.gf import Field
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +21,17 @@ def ex2():
 def random_block(g, rng: random.Random):
     ext = g.field()
     return [ext.random_element(rng) for _ in range(g.derived.k)]
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """A list that gains one entry per Field._reduce call during the test."""
+    calls = []
+    generic = Field._reduce
+
+    def counting(self, v):
+        calls.append(1)
+        return generic(self, v)
+
+    monkeypatch.setattr(Field, "_reduce", counting)
+    return calls

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from streamfec.channel import ErasurePattern, apply, enumerate_block_patterns
-from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
-                                    validate_and_derive)
+from streamfec.construction import (StreamParams, build_code, encode_block, encoder_plan,
+                                    evaluate_plan, validate_and_derive)
 from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pattern,
                                deadline_table, decode_structured, oracle_decode,
                                oracle_plan)
@@ -306,3 +306,22 @@ def test_report_json_shape(ex1):
     first = obj["symbols"][0]
     assert first["status"] == "recovered"
     assert set(first) == {"index", "status", "recovery_time", "deadline", "value"}
+
+
+def test_each_plan_evaluation_reduces_once(ex1, ex2, reduce_calls):
+    """evaluate_plan sums raw products and reduces once, whatever the plan's
+    length; a per-term multiply and add would reduce once per step."""
+    rng = random.Random(17)
+    for g in (ex1, ex2):
+        zero = g.field().zero
+        x = encode_block(random_block(g, rng), g)
+        plans = [steps for _, steps in oracle_plan(g, frozenset({0, 1, 2})).values()]
+        plans += list(encoder_plan(g))
+        assert max(len(steps) for steps in plans) > 2
+        for steps in plans:
+            reduce_calls.clear()
+            evaluate_plan(steps, x, zero)
+            assert len(reduce_calls) == 1
+        reduce_calls.clear()
+        encode_block(x[:g.derived.k], g)
+        assert len(reduce_calls) == g.derived.n - g.derived.k

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfec.gf import (GF, Field, FieldError, FieldMismatchError, alpha_power_basis,
-                          find_irreducible, frobenius, is_irreducible, is_prime,
-                          next_prime)
+from streamfec.gf import (DOT_TERMS, GF, FieldError, FieldMismatchError,
+                          alpha_power_basis, find_irreducible, frobenius, is_irreducible,
+                          is_prime, next_prime)
+from streamfec.matrix import Mat
 
 
 def _monic_polys(q, m):
@@ -307,20 +308,12 @@ class TestInverse:
         for a in _nonzero_elements(f, sample):
             assert a.inverse() == a ** (f.order - 2)
 
-    def test_extension_inverse_makes_no_field_multiply(self, monkeypatch):
-        calls = []
-        generic = Field._mul_coeffs
-
-        def counting(self, a, b):
-            calls.append(1)
-            return generic(self, a, b)
-
-        monkeypatch.setattr(Field, "_mul_coeffs", counting)
+    def test_extension_inverse_makes_no_field_multiply(self, reduce_calls):
         f = GF(7, 9)
         a = f((3, 1, 4, 1, 5, 0, 2, 6, 5))
         inv = a.inverse()
-        assert calls == []
-        assert a * inv == f.one and calls == [1]
+        assert reduce_calls == []
+        assert a * inv == f.one and reduce_calls == [1]
 
     @pytest.mark.parametrize("q,m", [(7, 1), (2, 5), (7, 9)])
     def test_zero_division_and_quotients(self, q, m):
@@ -378,3 +371,145 @@ def test_division_consistent_with_multiplication(ai, bi):
     a, b = decode(ai), decode(bi)
     if b:
         assert (a / b) * b == a
+
+
+# ---------------------------------------------------------------------------
+# Packed arithmetic against a schoolbook reference on coefficient tuples
+# ---------------------------------------------------------------------------
+
+def _ref_add(f, a, b):
+    return tuple((x + y) % f.q for x, y in zip(a, b))
+
+
+def _ref_neg(f, a):
+    return tuple(-x % f.q for x in a)
+
+
+def _ref_mul(f, a, b):
+    """Polynomial product of two coefficient tuples, then long division by
+    the monic modulus."""
+    q, m = f.q, f.m
+    prod = list(_product(a, b, q))
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d]
+        for i, r in enumerate(f.modulus):
+            prod[d - m + i] = (prod[d - m + i] - c * r) % q
+    return tuple(prod[:m])
+
+
+def _check_against_reference(f, a, b):
+    ca, cb = a.coeffs, b.coeffs
+    one = (1,) + (0,) * (f.m - 1)
+    assert (a + b).coeffs == _ref_add(f, ca, cb)
+    assert (a - b).coeffs == _ref_add(f, ca, _ref_neg(f, cb))
+    assert (-a).coeffs == _ref_neg(f, ca)
+    assert (a * b).coeffs == _ref_mul(f, ca, cb)
+    if b:
+        assert _ref_mul(f, cb, b.inverse().coeffs) == one
+
+
+def _all_elements(f):
+    return [f(c) for c in itertools.product(range(f.q), repeat=f.m)]
+
+
+class TestPackedArithmetic:
+    @pytest.mark.parametrize("q,m", [(2, 1), (7, 1), (2, 4), (3, 3), (5, 2)])
+    def test_every_pair_matches_reference(self, q, m):
+        f = GF(q, m)
+        elems = _all_elements(f)
+        for a in elems:
+            for b in elems:
+                _check_against_reference(f, a, b)
+
+    @pytest.mark.parametrize("q,m", [(7, 9), (5, 9), (13, 14), (11, 20)])
+    def test_seeded_pairs_match_reference(self, q, m):
+        f = GF(q, m)
+        rng = random.Random(q * 100 + m)
+        top = f((q - 1,) * m)
+        scalars = [f(s) for s in (0, 1, 2, q - 1)]
+        randoms = [f.random_element(rng) for _ in range(40)]
+        for a in scalars + [f.alpha, top] + randoms[:10]:
+            for b in scalars + [f.alpha, top] + randoms[10:20]:
+                _check_against_reference(f, a, b)
+        for a, b in zip(randoms[20:], randoms[:20]):
+            _check_against_reference(f, a, b)
+
+    @pytest.mark.parametrize("q,m", [(2, 1), (7, 1), (2, 4), (5, 2), (7, 9), (5, 9),
+                                     (13, 14), (11, 20)])
+    @pytest.mark.parametrize("length", [0, 1, DOT_TERMS - 1, DOT_TERMS, DOT_TERMS + 1, 1000])
+    def test_dot_of_top_elements_equals_sequential_sum(self, q, m, length):
+        # every coefficient q - 1: the largest raw product each slot can hold
+        f = GF(q, m)
+        top = f((q - 1,) * m)
+        got = f.dot([(top, top)] * length)
+        prod = _ref_mul(f, top.coeffs, top.coeffs)
+        assert got.coeffs == tuple(length * c % q for c in prod)
+        acc = f.zero
+        for _ in range(length):
+            acc = acc + top * top
+        assert got == acc
+
+    @pytest.mark.parametrize("q,m", [(7, 9), (13, 14)])
+    def test_dot_of_random_pairs_equals_reference_sum(self, q, m):
+        f = GF(q, m)
+        rng = random.Random(q + m)
+        pairs = [(f.random_element(rng), f.random_element(rng)) for _ in range(3 * DOT_TERMS + 5)]
+        want = f.zero.coeffs
+        for a, b in pairs:
+            want = _ref_add(f, want, _ref_mul(f, a.coeffs, b.coeffs))
+        assert f.dot(pairs).coeffs == want
+
+    def test_dot_checks_both_operands_of_every_pair(self):
+        f, other = GF(7, 9), GF(5, 9)
+        good = (f.one, f.alpha)
+        for bad, err in ((3, TypeError), (None, TypeError), (other.one, FieldMismatchError),
+                         (GF(7).one, FieldMismatchError)):
+            for pairs in ([(bad, f.one)], [(f.one, bad)], [good, good, (bad, f.alpha)],
+                          [good, (f.alpha, bad), good]):
+                with pytest.raises(err):
+                    f.dot(pairs)
+
+    @pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (5, 2)])
+    def test_coeffs_and_text_are_the_stored_tuple(self, q, m):
+        f = GF(q, m)
+        for c in itertools.product(range(q), repeat=m):
+            a = f(c)
+            assert a.coeffs == c
+            assert a.to_text() == ",".join(map(str, c))
+            assert f.from_text(a.to_text()) == a
+            assert a.is_base() == (not any(c[1:]))
+
+    def test_text_and_json_forms_unchanged(self):
+        g = GF(7, 9)
+        rng = random.Random(9)
+        assert [g.random_element(rng).to_text() for _ in range(3)] == [
+            "3,4,2,2,1,1,6,5,0", "2,4,3,4,0,2,4,4,5", "0,5,3,1,5,3,5,3,1"]
+        f = GF(5, 2)
+        a = Mat(f, [[f((1, 2)), f((0, 4))], [f((3, 0)), f((4, 4))]])
+        text = a.to_json()
+        assert text == ('{"cols": 2, "entries": [[[1, 2], [0, 4]], [[3, 0], [4, 4]]], '
+                        '"m": 2, "modulus": [1, 1, 1], "q": 5, "rows": 2}')
+        assert Mat.from_json(text) == a
+
+
+@st.composite
+def _field_and_elements(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(min_value=1, max_value=6))
+    f = GF(q, m)
+    coeffs = st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * m)
+    elems = draw(st.lists(coeffs, min_size=2, max_size=2 * DOT_TERMS + 2))
+    return f, [f(c) for c in elems]
+
+
+@given(_field_and_elements())
+@settings(max_examples=150, deadline=None)
+def test_packed_arithmetic_property(fe):
+    f, elems = fe
+    a, b = elems[0], elems[1]
+    _check_against_reference(f, a, b)
+    pairs = list(zip(elems, reversed(elems)))
+    want = f.zero.coeffs
+    for x, y in pairs:
+        want = _ref_add(f, want, _ref_mul(f, x.coeffs, y.coeffs))
+    assert f.dot(pairs).coeffs == want

@@ -44,6 +44,16 @@ class TestMul:
         with pytest.raises(LinalgError):
             Mat.identity(f7, 2) @ Mat.identity(f7, 3)
 
+    def test_each_entry_reduces_once(self, reduce_calls):
+        f = GF(7, 9)
+        rng = random.Random(8)
+        a, b = rand_mat(f, 3, 6, rng), rand_mat(f, 6, 4, rng)
+        want = [[sum((a[i, l] * b[l, j] for l in range(6)), f.zero) for j in range(4)]
+                for i in range(3)]
+        reduce_calls.clear()
+        assert (a @ b).rows == want
+        assert len(reduce_calls) == 3 * 4
+
 
 class TestRank:
     def test_identity(self, f7):

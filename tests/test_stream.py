@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, delay_check, encode_stream,
                               format_trace, parse_trace, simulate, stream_decode)
-from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
+from streamfec.construction import (StreamParams, build_code, encode_block, encoder_plan,
+                                    validate_and_derive)
+from streamfec import decoder
 from streamfec.gf import FieldError
 
 
@@ -228,3 +231,29 @@ class TestTrace:
         assert len(lines) == 3
         assert lines[0].startswith("0: ")
         assert len(lines[1].split(": ", 1)[1].split()) == ex1.derived.n
+
+
+def test_oracle_plan_cache_stays_under_its_cap(ex1, monkeypatch):
+    # each slot lost with probability 0.3: inadmissible, many distinct patterns
+    rng = random.Random(31)
+    src = random_packets(ex1, 120, 32)
+    sent = encode_stream(src, ex1)
+    pat = ErasurePattern.make(len(sent), [t for t in range(len(sent)) if rng.random() < 0.3])
+    received = apply(sent, pat)
+
+    def oracle_entries(g):
+        return [key for key in g._plan_cache if key != "encoder"]
+
+    free = dataclasses.replace(ex1, _plan_cache={})
+    want = stream_decode(received, free, num_source=len(src))
+    assert want[1].failures and len(oracle_entries(free)) > 8
+
+    monkeypatch.setattr(decoder, "ORACLE_PLAN_CAP", 8)
+    capped = dataclasses.replace(ex1, _plan_cache={})
+    assert stream_decode(received, capped, num_source=len(src)) == want
+    assert len(oracle_entries(capped)) == 8
+    # the encoder plan is stored even with the oracle entries at the cap
+    encoder_plan(capped)
+    assert "encoder" in capped._plan_cache
+    assert stream_decode(received, capped, num_source=len(src)) == want
+    assert len(oracle_entries(capped)) == 8
