@@ -95,9 +95,8 @@ def _random_block_patterns(d, count, seed):
     return out
 
 
-def cmd_verify(args, gset=None) -> int:
-    d = validate_and_derive(StreamParams(args.W, args.T, args.B, args.N))
-    g = gset if gset is not None else build_code(d)
+def cmd_verify(args) -> int:
+    d, g = _build(args)
 
     if args.erase is not None:
         pattern = ErasurePattern.from_text(d.n, args.erase)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .gf import GF, Field, next_prime
 from .matrix import Mat
@@ -48,6 +49,11 @@ class DerivedParams:
 
     def base_field(self) -> Field:
         return GF(self.q)
+
+    @cached_property
+    def deadlines(self) -> tuple[int, ...]:
+        """Per source symbol i, its deadline min(i + T_eff, n - 1)."""
+        return tuple(min(i + self.T_eff, self.n - 1) for i in range(self.k))
 
     def to_json_obj(self) -> dict:
         return {
@@ -97,15 +103,27 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """A code is its parity matrix P: G and the encoder plan are views of it,
+    and each instance (``replace`` too) starts with no cached oracle plans."""
+
     derived: DerivedParams
-    G: Mat
     P: Mat
     mds: MdsCode
     mrd: MrdCode
-    _plan_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _plan_cache: dict = dc_field(init=False, default_factory=dict, compare=False, repr=False)
 
     def field(self) -> Field:
-        return self.G.field
+        return self.P.field
+
+    @cached_property
+    def G(self) -> Mat:
+        """The systematic generator [I_k | P]."""
+        return Mat.identity(self.P.field, self.P.nrows).hstack(self.P)
+
+    # Per parity column c, the steps (i, P[i, c]) with P[i, c] nonzero.
+    encoder_plan = cached_property(lambda self: tuple(
+        tuple((i, row[c]) for i, row in enumerate(self.P.rows) if row[c])
+        for c in range(self.P.ncols)))
 
     def to_json_obj(self) -> dict:
         d = self.derived
@@ -154,9 +172,7 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     for i in range(k - B):
         rows[B + i] = list(gab_parity.rows[delta + i])
 
-    P = Mat(ext, rows)
-    G = Mat.identity(ext, k).hstack(P)
-    return GeneratorSet(derived=d, G=G, P=P, mds=mds, mrd=mrd)
+    return GeneratorSet(derived=d, P=Mat(ext, rows), mds=mds, mrd=mrd)
 
 
 def evaluate_plan(steps, x, zero):
@@ -170,19 +186,6 @@ def evaluate_plan(steps, x, zero):
     return zero.field.dot([(coeff, x[pos]) for pos, coeff in steps])
 
 
-def encoder_plan(g: GeneratorSet) -> tuple:
-    """Per parity column c, the steps (i, P[i, c]) with P[i, c] nonzero.
-
-    Compiled once from ``g.P`` and cached on the generator set.
-    """
-    plan = g._plan_cache.get("encoder")
-    if plan is None:
-        plan = tuple(tuple((i, row[c]) for i, row in enumerate(g.P.rows) if row[c])
-                     for c in range(g.P.ncols))
-        g._plan_cache["encoder"] = plan
-    return plan
-
-
 def encode_block(s, g: GeneratorSet):
     """Encode k source symbols into the n-symbol systematic codeword."""
     d = g.derived
@@ -190,4 +193,4 @@ def encode_block(s, g: GeneratorSet):
         raise ParamError(f"expected {d.k} source symbols, got {len(s)}")
     ext = g.field()
     sv = [ext(v) for v in s]
-    return sv + [evaluate_plan(steps, sv, ext.zero) for steps in encoder_plan(g)]
+    return sv + [evaluate_plan(steps, sv, ext.zero) for steps in g.encoder_plan]

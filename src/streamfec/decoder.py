@@ -37,7 +37,7 @@ from typing import Optional
 from .gf import FieldElement
 from .matrix import Mat, NoSolution, Underdetermined
 from .channel import ERASED, ErasurePattern
-from .construction import DerivedParams, GeneratorSet, encoder_plan, evaluate_plan
+from .construction import DerivedParams, GeneratorSet, evaluate_plan
 
 
 # Most oracle plans one generator set caches.  Every admissible diagonal
@@ -85,16 +85,12 @@ class DecodeReport:
         return {"symbols": [s.to_json_obj() for s in self.symbols]}
 
 
-def _deadline(i: int, T_eff: int, n: int) -> int:
-    return min(i + T_eff, n - 1)
-
-
 def _report(g: GeneratorSet, times: dict, vals: dict) -> DecodeReport:
     """One SymbolReport per source symbol: recovered iff it has a value."""
     d = g.derived
     return DecodeReport(tuple(
         SymbolReport(i, "recovered" if i in vals else "failed", vals.get(i),
-                     times.get(i), _deadline(i, d.T_eff, d.n))
+                     times.get(i), d.deadlines[i])
         for i in range(d.k)))
 
 
@@ -118,8 +114,7 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     uses.  The plan depends only on the pattern, not on the symbol values,
     and is cached on the generator set, up to ORACLE_PLAN_CAP patterns.
     """
-    key = ("oracle", erased)
-    cached = g._plan_cache.get(key)
+    cached = g._plan_cache.get(erased)
     if cached is not None:
         return cached
 
@@ -135,9 +130,8 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
             steps = tuple((pos, c) for pos, c in zip(basis, col) if c)
             plan[i] = (steps[-1][0], steps)
 
-    cache = g._plan_cache
-    if len(cache) - ("encoder" in cache) < ORACLE_PLAN_CAP:
-        cache[key] = plan
+    if len(g._plan_cache) < ORACLE_PLAN_CAP:
+        g._plan_cache[erased] = plan
     return plan
 
 
@@ -153,7 +147,7 @@ def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
     zero = g.field().zero
     times = {i: t for i, (t, _) in plan.items()}
     vals = {i: evaluate_plan(steps, y, zero) for i, (t, steps) in plan.items()
-            if t <= _deadline(i, d.T_eff, d.n)}
+            if t <= d.deadlines[i]}
     return _report(g, times, vals)
 
 
@@ -174,7 +168,8 @@ def classify_pattern(p: ErasurePattern, d: DerivedParams) -> str:
         return "burst"
     if len(e) <= d.N:
         return "arbitrary"
-    raise DecoderError(f"pattern {e} is not admissible for one block of ({d.B},{d.N})")
+    raise DecoderError(f"pattern {e} is neither one burst of length in ({d.N}, {d.B}] "
+                       f"nor at most {d.N} erasures")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +195,7 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     d = g.derived
     if cols and cols[-1] >= d.N and unknowns[0] < d.delta:
         raise StructuralFailureError("top outer symbol unknown while using a late parity column")
-    steps = encoder_plan(g)
+    steps = g.encoder_plan
     in_system = set(unknowns) | set(interference)
     rhs = []
     for c in cols:

@@ -255,6 +255,8 @@ class Mat:
         missing = [key for key in ("rows", "cols", "q", "m", "modulus", "entries") if key not in obj]
         if missing:
             raise LinalgError(f"JSON matrix lacks {', '.join(missing)}")
+        if any(type(obj[key]) is not int or obj[key] < 0 for key in ("rows", "cols")):
+            raise LinalgError("JSON matrix rows and cols must be non-negative integers")
         seq, entries = (list, tuple), obj["entries"]
         if not isinstance(obj["modulus"], seq) or not isinstance(entries, seq) or any(
                 not isinstance(r, seq) or any(not isinstance(c, seq) for c in r) for r in entries):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
-from .construction import GeneratorSet, encoder_plan, evaluate_plan
-from .decoder import oracle_plan, _deadline
+from .construction import GeneratorSet, evaluate_plan
+from .decoder import oracle_plan
 
 
 class StreamError(ValueError):
@@ -59,7 +59,7 @@ class StreamEncoder:
         # row j >= k is parity j of the diagonal starting at t - j, which
         # sits at index n - 1 - j of the packets for times t-(n-1) .. t
         past = list(self.history) + [s_now]
-        for col, steps in enumerate(encoder_plan(self.g)):
+        for col, steps in enumerate(self.g.encoder_plan):
             diag = _diagonal(past, d.n - 1 - (d.k + col), d.k, ext.zero)
             out.append(evaluate_plan(steps, diag, ext.zero))
         self.history.append(s_now)
@@ -128,7 +128,7 @@ def stream_decode(received: Sequence, g: GeneratorSet,
     per-symbol arithmetic; the latency report is identical.
     """
     dd = g.derived
-    n, k, T_eff = dd.n, dd.k, dd.T_eff
+    n, k = dd.n, dd.k
     horizon = len(received)
     if num_source is None:
         num_source = horizon - (n - 1)
@@ -154,7 +154,7 @@ def stream_decode(received: Sequence, g: GeneratorSet,
             if not (0 <= t_src < num_source):
                 continue
             hit = plan.get(j)
-            if hit is None or hit[0] > _deadline(j, T_eff, n):
+            if hit is None or hit[0] > dd.deadlines[j]:
                 continue
             rt, steps = hit
             sym_latency[t_src][j] = rt - j

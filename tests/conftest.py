@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from streamfec.construction import StreamParams, validate_and_derive, build_code
 from streamfec.gf import Field
+from streamfec.matrix import Mat
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +23,13 @@ def ex2():
 def random_block(g, rng: random.Random):
     ext = g.field()
     return [ext.random_element(rng) for _ in range(g.derived.k)]
+
+
+def mutated(g, i, c):
+    """g with P[i, c] increased by one."""
+    rows = g.P.copy_rows()
+    rows[i][c] = rows[i][c] + g.field().one
+    return dataclasses.replace(g, P=Mat(g.field(), rows, g.P.ncols))
 
 
 @pytest.fixture

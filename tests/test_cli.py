@@ -1,10 +1,13 @@
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from streamfec.cli import cmd_verify, main, make_parser
+from streamfec import cli
+from streamfec.cli import main
+from streamfec.matrix import Mat
+
+from conftest import mutated
 
 
 def run(capsys, *argv):
@@ -108,20 +111,11 @@ class TestVerify:
         assert out == ""
         assert "use --mode random" in err
 
-    def test_mutated_generator_exits_1(self, capsys, ex1):
-        ext = ex1.field()
-        d = ex1.derived
-        rows = ex1.G.copy_rows()
-        rows[3][d.k + 1] = rows[3][d.k + 1] + ext.one
-        from streamfec.matrix import Mat
-        bad_g = Mat(ext, rows, d.n)
-        bad = dataclasses.replace(
-            ex1, G=bad_g,
-            P=bad_g.select_columns(list(range(d.k, d.n))), _plan_cache={})
-        args = make_parser().parse_args(
-            ["verify", "--W", "10", "--T", "9", "--B", "5", "--N", "3", "--trials", "1"])
-        code = cmd_verify(args, gset=bad)
-        out = capsys.readouterr().out
+    def test_mutated_generator_exits_1(self, capsys, ex1, monkeypatch):
+        bad = mutated(ex1, 3, 1)
+        monkeypatch.setattr(cli, "build_code", lambda d: bad)
+        code, out, _ = run(capsys, "verify", "--W", "10", "--T", "9", "--B", "5", "--N", "3",
+                           "--trials", "1")
         summary = json.loads(out.strip().splitlines()[-1])
         assert code == 1
         assert summary["failures"]
@@ -170,7 +164,6 @@ class TestExport:
         assert obj["constituents"]["mds"]["n"] == 4
 
     def test_file_round_trips_generator(self, capsys, tmp_path, ex1):
-        from streamfec.matrix import Mat
         path = tmp_path / "g.json"
         code, _, _ = run(capsys, "export", "--W", "10", "--T", "9", "--B", "5", "--N", "3",
                          "--out", str(path))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -6,10 +7,12 @@ import pytest
 
 from streamfec.gf import GF
 from streamfec.matrix import Mat
-from streamfec.construction import (ParamError, StreamParams, build_code, capacity,
-                                    encode_block, validate_and_derive)
+from streamfec.construction import (GeneratorSet, ParamError, StreamParams, build_code,
+                                    capacity, encode_block, validate_and_derive)
+from streamfec.decoder import oracle_plan
+from streamfec.stream import encode_stream
 
-from conftest import random_block
+from conftest import mutated, random_block
 
 
 class TestValidateAndDerive:
@@ -17,6 +20,10 @@ class TestValidateAndDerive:
         d = validate_and_derive(StreamParams(10, 9, 5, 3))
         assert (d.k, d.n, d.M, d.delta, d.q, d.m) == (7, 12, 1, 2, 7, 9)
         assert d.T_eff == 9
+
+    def test_deadlines(self, ex1):
+        # min(i + T_eff, n - 1) with T_eff = 9, n = 12
+        assert ex1.derived.deadlines == (9, 10, 11, 11, 11, 11, 11)
 
     def test_example_two_parameters(self):
         d = validate_and_derive(StreamParams(11, 10, 4, 2))
@@ -161,6 +168,33 @@ class TestEncodeBlock:
     def test_length_mismatch(self, ex1):
         with pytest.raises(ParamError):
             encode_block([ex1.field().zero] * 6, ex1)
+
+
+class TestCodeIsItsParity:
+    def test_only_the_parity_is_stored(self, ex1):
+        inits = {f.name for f in dataclasses.fields(GeneratorSet) if f.init}
+        assert inits == {"derived", "P", "mds", "mrd"}
+        with pytest.raises(ValueError):
+            dataclasses.replace(ex1, _plan_cache={})
+
+    def test_replaced_parity_rederives_everything(self, ex1):
+        ext, d = ex1.field(), ex1.derived
+        rng = random.Random(6)
+        s = random_block(ex1, rng)
+        encode_block(s, ex1)
+        oracle_plan(ex1, frozenset({0}))
+        bad = mutated(ex1, 0, 0)
+
+        assert bad.G == Mat.identity(ext, d.k).hstack(bad.P) != ex1.G
+        want = (Mat(ext, [s], d.k) @ bad.G).rows[0]
+        assert encode_block(s, bad) == want != encode_block(s, ex1)
+        # symbol j of the diagonal starting at slot 0 is row j of packet j
+        src = [[s[t] if j == t else ext.random_element(rng) for j in range(d.k)]
+               for t in range(d.k)]
+        sent = encode_stream(src, bad)
+        assert [sent[j][j] for j in range(d.n)] == want
+        assert ex1._plan_cache and bad._plan_cache == {}
+        assert bad._plan_cache is not ex1._plan_cache
 
 
 def test_bundle_json_round_trips(ex1):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -6,29 +5,19 @@ from pathlib import Path
 import pytest
 
 from streamfec.channel import ErasurePattern, apply, enumerate_block_patterns
-from streamfec.construction import (StreamParams, build_code, encode_block, encoder_plan,
-                                    evaluate_plan, validate_and_derive)
+from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
+                                    validate_and_derive)
 from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pattern,
                                deadline_table, decode_structured, oracle_decode,
                                oracle_plan)
 from streamfec.matrix import Mat
 
-from conftest import random_block
+from conftest import mutated, random_block
 
 
 def received(g, s, erased):
     x = encode_block(s, g)
     return apply(x, ErasurePattern.make(g.derived.n, erased))
-
-
-def mutated(g, i, c):
-    """g with P[i, c] increased by one, G kept consistent, no cached plans."""
-    d = g.derived
-    rows = g.G.copy_rows()
-    rows[i][d.k + c] = rows[i][d.k + c] + g.field().one
-    bad_g = Mat(g.field(), rows, d.n)
-    return dataclasses.replace(g, G=bad_g, P=bad_g.select_columns(list(range(d.k, d.n))),
-                               _plan_cache={})
 
 
 class TestOracle:
@@ -162,6 +151,15 @@ class TestClassifyPattern:
     def test_inadmissible_rejected(self, ex1):
         with pytest.raises(DecoderError):
             classify_pattern(ErasurePattern.make(12, [0, 2, 4, 6]), ex1.derived)
+
+    def test_two_event_diagonal_message_names_the_block_rule(self, ex1):
+        # {0,1,10,11} is an admissible stream diagonal of ex1 (two short
+        # bursts W slots apart) but no single-event block pattern
+        with pytest.raises(DecoderError) as exc:
+            classify_pattern(ErasurePattern.make(12, [0, 1, 10, 11]), ex1.derived)
+        assert str(exc.value) == ("pattern (0, 1, 10, 11) is neither one burst of length "
+                                  "in (3, 5] nor at most 3 erasures")
+        assert "admissible" not in str(exc.value)
 
     def test_horizon_mismatch(self, ex1):
         with pytest.raises(DecoderError):
@@ -316,7 +314,7 @@ def test_each_plan_evaluation_reduces_once(ex1, ex2, reduce_calls):
         zero = g.field().zero
         x = encode_block(random_block(g, rng), g)
         plans = [steps for _, steps in oracle_plan(g, frozenset({0, 1, 2})).values()]
-        plans += list(encoder_plan(g))
+        plans += list(g.encoder_plan)
         assert max(len(steps) for steps in plans) > 2
         for steps in plans:
             reduce_calls.clear()

@@ -349,6 +349,21 @@ class TestJson:
         with pytest.raises(LinalgError, match=key):
             Mat.from_json_obj(obj)
 
+    def test_negative_shape_rejected(self, f7):
+        # once loaded as a 0 x -3 matrix
+        obj = Mat.zeros(f7, 0, 3).to_json_obj()
+        obj["cols"] = -3
+        with pytest.raises(LinalgError, match="rows and cols"):
+            Mat.from_json_obj(obj)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_non_int_shape_rejected(self, f7, value):
+        # True == 1.0 == 1, so a 1 x 1 matrix once passed the shape check
+        obj = Mat.identity(f7, 1).to_json_obj()
+        obj["rows"] = obj["cols"] = value
+        with pytest.raises(LinalgError, match="rows and cols"):
+            Mat.from_json_obj(obj)
+
     def test_zero_row_matrix_round_trip(self, f7):
         a = Mat.zeros(f7, 0, 5)
         b = Mat.from_json(a.to_json())

@@ -7,8 +7,7 @@ import pytest
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, delay_check, encode_stream,
                               format_trace, parse_trace, simulate, stream_decode)
-from streamfec.construction import (StreamParams, build_code, encode_block, encoder_plan,
-                                    validate_and_derive)
+from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
 from streamfec import decoder
 from streamfec.gf import FieldError
 
@@ -241,19 +240,13 @@ def test_oracle_plan_cache_stays_under_its_cap(ex1, monkeypatch):
     pat = ErasurePattern.make(len(sent), [t for t in range(len(sent)) if rng.random() < 0.3])
     received = apply(sent, pat)
 
-    def oracle_entries(g):
-        return [key for key in g._plan_cache if key != "encoder"]
-
-    free = dataclasses.replace(ex1, _plan_cache={})
+    free = dataclasses.replace(ex1)
     want = stream_decode(received, free, num_source=len(src))
-    assert want[1].failures and len(oracle_entries(free)) > 8
+    assert want[1].failures and len(free._plan_cache) > 8
 
     monkeypatch.setattr(decoder, "ORACLE_PLAN_CAP", 8)
-    capped = dataclasses.replace(ex1, _plan_cache={})
+    capped = dataclasses.replace(ex1)
     assert stream_decode(received, capped, num_source=len(src)) == want
-    assert len(oracle_entries(capped)) == 8
-    # the encoder plan is stored even with the oracle entries at the cap
-    encoder_plan(capped)
-    assert "encoder" in capped._plan_cache
+    assert len(capped._plan_cache) == 8
     assert stream_decode(received, capped, num_source=len(src)) == want
-    assert len(oracle_entries(capped)) == 8
+    assert len(capped._plan_cache) == 8
