@@ -11,7 +11,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 class ChannelError(ValueError):
@@ -70,11 +70,15 @@ class ErasurePattern:
         return len(e) >= 1 and e[-1] - e[0] == len(e) - 1
 
 
-def _window_ok(window_hits: Sequence[int], B: int, N: int) -> bool:
-    if len(window_hits) <= N:
-        return True
-    run = window_hits[-1] - window_hits[0] == len(window_hits) - 1
-    return run and len(window_hits) <= B
+def event_kind(erased: Sequence[int], B: int, N: int) -> Optional[str]:
+    """The single loss event that sorted erasures in one window form:
+    "arbitrary" for at most N erasures, "burst" for one contiguous run of
+    length in (N, B], None for anything else."""
+    if len(erased) <= N:
+        return "arbitrary"
+    if len(erased) <= B and erased[-1] - erased[0] == len(erased) - 1:
+        return "burst"
+    return None
 
 
 def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
@@ -84,7 +88,7 @@ def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
     # A horizon shorter than the window is one partial window.
     for start in range(max(p.horizon - W + 1, 1)):
         hits = erased[bisect_left(erased, start):bisect_left(erased, start + W)]
-        if not _window_ok(hits, B, N):
+        if event_kind(hits, B, N) is None:
             return False
     return True
 

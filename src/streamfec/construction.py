@@ -47,9 +47,6 @@ class DerivedParams:
     def field(self) -> Field:
         return GF(self.q, self.m)
 
-    def base_field(self) -> Field:
-        return GF(self.q)
-
     @cached_property
     def deadlines(self) -> tuple[int, ...]:
         """Per source symbol i, its deadline min(i + T_eff, n - 1)."""
@@ -120,10 +117,11 @@ class GeneratorSet:
         """The systematic generator [I_k | P]."""
         return Mat.identity(self.P.field, self.P.nrows).hstack(self.P)
 
-    # Per parity column c, the steps (i, P[i, c]) with P[i, c] nonzero.
-    encoder_plan = cached_property(lambda self: tuple(
-        tuple((i, row[c]) for i, row in enumerate(self.P.rows) if row[c])
-        for c in range(self.P.ncols)))
+    @cached_property
+    def encoder_plan(self) -> tuple:
+        """Per parity column c, the steps (i, P[i, c]) with P[i, c] nonzero."""
+        return tuple(tuple((i, row[c]) for i, row in enumerate(self.P.rows) if row[c])
+                     for c in range(self.P.ncols))
 
     def to_json_obj(self) -> dict:
         d = self.derived
@@ -153,9 +151,8 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     """
     k, B, N, M, delta = d.k, d.B, d.N, d.M, d.delta
     ext = d.field()
-    base = d.base_field()
 
-    mds = build_mds(N, base)
+    mds = build_mds(N, GF(d.q))
     mrd = build_gabidulin(k + delta, k - B + delta, ext)
 
     gab_parity = mrd.parity()  # (k - B + delta) x B

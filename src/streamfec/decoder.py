@@ -36,7 +36,7 @@ from typing import Optional
 
 from .gf import FieldElement
 from .matrix import Mat, NoSolution, Underdetermined
-from .channel import ERASED, ErasurePattern
+from .channel import ERASED, ErasurePattern, event_kind
 from .construction import DerivedParams, GeneratorSet, evaluate_plan
 
 
@@ -156,20 +156,15 @@ def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
 # ---------------------------------------------------------------------------
 
 def classify_pattern(p: ErasurePattern, d: DerivedParams) -> str:
-    """Route a block erasure pattern: "burst" or "arbitrary".
-
-    Burst means one contiguous run of length in (N, B]; contiguous runs of
-    length <= N and all other patterns of at most N erasures are arbitrary.
-    """
+    """Route a block erasure pattern by its single loss event, as
+    channel.event_kind names it: "burst" or "arbitrary"."""
     if p.horizon != d.n:
         raise DecoderError(f"pattern horizon {p.horizon} != block length {d.n}")
-    e = p.erased
-    if p.is_burst() and d.N < len(e) <= d.B:
-        return "burst"
-    if len(e) <= d.N:
-        return "arbitrary"
-    raise DecoderError(f"pattern {e} is neither one burst of length in ({d.N}, {d.B}] "
-                       f"nor at most {d.N} erasures")
+    kind = event_kind(p.erased, d.B, d.N)
+    if kind is None:
+        raise DecoderError(f"pattern {p.erased} is neither one burst of length in "
+                           f"({d.N}, {d.B}] nor at most {d.N} erasures")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +182,10 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     Every known source value moves to the right-hand side through P; any
     other symbol that meets cols must be in unknowns or interference.  The
     rows in interference are nulled out over the base field: their entries
-    in cols must lie in GF(q), and the system is projected onto the right
-    kernel of that base-field block.  The outer rows of P are Gabidulin
-    rows, so they keep full rank under that projection.  Returns the
-    recovered values and the last codeword position used.
+    in cols must lie in GF(q), so the right kernel of that block is a map
+    over GF(q), and the outer rows of P are Gabidulin rows, which keep full
+    rank under it.  Returns the recovered values and the last codeword
+    position used.
     """
     d = g.derived
     if cols and cols[-1] >= d.N and unknowns[0] < d.delta:
@@ -212,15 +207,11 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
         entries = g.P.select_rows(interference).select_columns(cols)
         if any(e and not e.is_base() for row in entries.rows for e in row):
             raise StructuralFailureError("interference entry outside the base field")
-        base = d.base_field()
-        that = Mat(base, [[base(e.coeffs[0]) for e in row] for row in entries.rows], len(cols))
-        kernel = that.right_kernel_basis()
-        if not (that @ kernel).is_zero():
+        kernel = entries.right_kernel_basis()
+        if not (entries @ kernel).is_zero():
             raise StructuralFailureError("null-out failed: interference not cancelled")
-        ext = g.field()
-        kernel = kernel.embed_into(ext)
         a = a @ kernel
-        rhs = (Mat(ext, [rhs], len(cols)) @ kernel).rows[0]
+        rhs = (Mat(g.field(), [rhs], len(cols)) @ kernel).rows[0]
     try:
         x = a.solve_left(rhs)
     except (NoSolution, Underdetermined) as exc:

@@ -36,18 +36,7 @@ class FieldMismatchError(FieldError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def next_prime(n: int) -> int:
@@ -131,6 +120,7 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -324,7 +314,7 @@ class Field:
             raise FieldError("modulus must be monic of degree m, constant term first")
         if any(not (0 <= c < q) for c in modulus):
             raise FieldError("modulus coefficients must be residues in [0, q)")
-        if m > 1 and not is_irreducible(modulus, q):
+        if not is_irreducible(modulus, q):
             raise FieldError(f"modulus {modulus} is reducible over Z_{q}")
         self.q = q
         self.m = m

@@ -198,8 +198,7 @@ class Mat:
             for r, pc in enumerate(pivots):
                 v[pc] = -R.rows[r][fc]
             cols.append(v)
-        return Mat(f, [[cols[j][i] for j in range(len(cols))] for i in range(nc)],
-                   len(cols))
+        return Mat(f, cols, nc).transpose()
 
     def solve_left(self, y: Sequence[FieldElement]) -> list[FieldElement]:
         """The unique row vector x with x @ self == y, as a list of nrows elements.
@@ -212,10 +211,7 @@ class Mat:
         if len(y) != self.ncols:
             raise LinalgError(f"rhs length {len(y)} != ncols {self.ncols}")
         # x * A = y  <=>  A^T x^T = y^T; eliminate on [A^T | y^T]
-        aug = Mat(f, [[self.rows[i][j] for i in range(self.nrows)] + [y[j]]
-                      for j in range(self.ncols)],
-                  self.nrows + 1)
-        R, pivots = aug.rref()
+        R, pivots = self.transpose().hstack(Mat(f, [y], self.ncols).transpose()).rref()
         n = self.nrows
         if n in pivots:
             raise NoSolution("inconsistent system")

@@ -56,9 +56,9 @@ class StreamEncoder:
         ext = self.g.field()
         s_now = [ext(v) for v in symbols]
         out = list(s_now)
-        # row j >= k is parity j of the diagonal starting at t - j, which
-        # sits at index n - 1 - j of the packets for times t-(n-1) .. t
-        past = list(self.history) + [s_now]
+        # row j >= k is parity j of the diagonal starting at t - j; its k source
+        # symbols precede t, from index n - 1 - j of the packets for t-(n-1) .. t-1
+        past = list(self.history)
         for col, steps in enumerate(self.g.encoder_plan):
             diag = _diagonal(past, d.n - 1 - (d.k + col), d.k, ext.zero)
             out.append(evaluate_plan(steps, diag, ext.zero))
@@ -67,17 +67,12 @@ class StreamEncoder:
         return out
 
 
-def encode_stream(packets: Sequence[Sequence], g: GeneratorSet, flush: bool = True) -> list:
-    """Encode a finite stream; with flush, append n - 1 virtual zero packets
-    so every started diagonal completes."""
+def encode_stream(packets: Sequence[Sequence], g: GeneratorSet) -> list:
+    """Encode a finite stream, then n - 1 virtual zero packets so every
+    started diagonal completes."""
     enc = StreamEncoder(g)
-    out = [enc.push(p) for p in packets]
-    if flush:
-        d = g.derived
-        zero_packet = [g.field().zero] * d.k
-        for _ in range(d.n - 1):
-            out.append(enc.push(zero_packet))
-    return out
+    flush = [[g.field().zero] * g.derived.k] * (g.derived.n - 1)
+    return [enc.push(p) for p in [*packets, *flush]]
 
 
 @dataclass(frozen=True)

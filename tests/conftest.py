@@ -25,10 +25,10 @@ def random_block(g, rng: random.Random):
     return [ext.random_element(rng) for _ in range(g.derived.k)]
 
 
-def mutated(g, i, c):
-    """g with P[i, c] increased by one."""
+def mutated(g, i, c, delta=None):
+    """g with P[i, c] increased by delta, by one if delta is None."""
     rows = g.P.copy_rows()
-    rows[i][c] = rows[i][c] + g.field().one
+    rows[i][c] = rows[i][c] + (g.field().one if delta is None else delta)
     return dataclasses.replace(g, P=Mat(g.field(), rows, g.P.ncols))
 
 

@@ -275,6 +275,17 @@ class TestStructuredPipelines:
             assert rep.values() == s, p.to_text()
 
 
+    def test_interference_entry_outside_base_field_rejected(self, ex1):
+        """Erasures {0, 2} of ex1 solve outer symbol 0 through parity
+        columns 0..2 with middle symbol 2 nulled out; P[2, 2] + alpha is not
+        in GF(q), so no GF(q) projection can cancel row 2."""
+        bad = mutated(ex1, 2, 2, ex1.field().alpha)
+        y = received(bad, random_block(bad, random.Random(14)), [0, 2])
+        with pytest.raises(StructuralFailureError) as exc:
+            decode_structured(bad, y)
+        assert str(exc.value) == "interference entry outside the base field"
+
+
 class TestDeadlineTable:
     def test_example_one(self, ex1):
         t = deadline_table(ex1.derived)
