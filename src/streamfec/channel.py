@@ -65,10 +65,6 @@ class ErasurePattern:
     def to_text(self) -> str:
         return ",".join(str(e) for e in self.erased)
 
-    def is_burst(self) -> bool:
-        e = self.erased
-        return len(e) >= 1 and e[-1] - e[0] == len(e) - 1
-
 
 def event_kind(erased: Sequence[int], B: int, N: int) -> Optional[str]:
     """The single loss event that sorted erasures in one window form:

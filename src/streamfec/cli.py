@@ -1,8 +1,8 @@
 """Command line front end: build, verify, simulate, capacity, export.
 
 Exit codes: 0 on success, 1 when a verification or simulation found
-failures, 2 on parameter errors.  All output is deterministic given the
-flags and seed.
+failures, 2 on parameter errors and on an --out file that cannot be
+written.  All output is deterministic given the flags and seed.
 """
 from __future__ import annotations
 
@@ -137,9 +137,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 0:
-        print(f"error: --trials must be >= 0, got {args.trials}", file=sys.stderr)
-        return 2
+    for flag, value in (("--trials", args.trials), ("--len", args.len)):
+        if value < 0:
+            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     d, g = _build(args)
     packets = erased = recovered = 0
     max_latency = 0
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,12 +3,13 @@
 Two decoders over the same generator set:
 
 * ``oracle_decode`` is the ground truth.  ``oracle_plan`` reduces the
-  received columns of G, in arrival order, beside an identity block with
-  one ``Mat.rref``; the result is, for every source symbol, the earliest
-  time at which the received symbols pin it uniquely and the linear
-  combination of received positions that yields it.  This recovery plan
-  is cached per erasure pattern, so repeated decodes of the same pattern
-  cost one linear combination per symbol.
+  block of P on the erased source rows and the received parity columns,
+  in arrival order, beside an identity block with one ``Mat.rref``; the
+  result is, for every source symbol, the earliest time at which the
+  received symbols pin it uniquely and the linear combination of received
+  positions that yields it.  This recovery plan is cached per erasure
+  pattern, so repeated decodes of the same pattern cost one linear
+  combination per symbol.
 
 * ``decode_structured`` mirrors the algebra the code was designed around,
   in one pipeline for both pattern kinds.  Each stage is one solve over
@@ -105,29 +106,40 @@ def _erased_positions(y) -> frozenset[int]:
 def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     """Recovery plan for an erasure pattern: i -> (time, ((pos, coeff), ...)).
 
-    One reduction of [G_R | I_k], with G_R the received columns of G in
-    arrival order, gives [R | E] with E @ G_R = R.  The pivot columns of R
-    are the earliest basis of the received columns.  Symbol i is
-    recoverable iff column i of E vanishes below the rank; then
-    e_i = sum_l E[l, i] * (l-th basis column), a combination that is unique
-    over the basis, and its time is the arrival of the last basis column it
-    uses.  The plan depends only on the pattern, not on the symbol values,
-    and is cached on the generator set, up to ORACLE_PLAN_CAP patterns.
+    The code is systematic, so a received source symbol i is its own plan
+    at time i, and a parity column adds rank exactly where it meets the
+    erased source rows E.  One reduction of [A | I], with A = P[E, C] and
+    C the received parity columns in arrival order, gives [R | M] with
+    M @ A = R; the pivots of R are the earliest parity basis.  Erased
+    symbol i is recoverable iff its column of M vanishes below the rank;
+    the part above, mu, is then the unique combination of basis columns
+    equal to i's unit vector on E, and each received source symbol j takes
+    the coefficient -sum_c mu_c P[j, c] that cancels row j.  Its time is
+    the last parity position it uses.  The plan depends only on the
+    pattern, not on the symbol values, and is cached on the generator set,
+    up to ORACLE_PLAN_CAP patterns.
     """
     cached = g._plan_cache.get(erased)
     if cached is not None:
         return cached
 
-    k = g.derived.k
-    received = [t for t in range(g.derived.n) if t not in erased]
-    aug = g.G.select_columns(received).hstack(Mat.identity(g.field(), k))
+    k, f, P = g.derived.k, g.field(), g.P.rows
+    lost = sorted(i for i in erased if i < k)
+    cols = [c for c in range(g.P.ncols) if k + c not in erased]
+    aug = g.P.select_rows(lost).select_columns(cols).hstack(Mat.identity(f, len(lost)))
     R, pivots = aug.rref()
-    basis = [received[c] for c in pivots if c < len(received)]
+    basis = [cols[c] for c in pivots if c < len(cols)]
     plan: dict[int, tuple[int, tuple]] = {}
     for i in range(k):
-        col = [row[len(received) + i] for row in R.rows]
+        if i not in erased:
+            plan[i] = (i, ((i, f.one),))
+            continue
+        col = [row[len(cols) + lost.index(i)] for row in R.rows]
         if not any(col[len(basis):]):
-            steps = tuple((pos, c) for pos, c in zip(basis, col) if c)
+            mu = [(c, m) for c, m in zip(basis, col) if m]
+            known = ((j, -f.dot((m, P[j][c]) for c, m in mu))
+                     for j in range(k) if j not in erased)
+            steps = tuple((j, v) for j, v in known if v) + tuple((k + c, m) for c, m in mu)
             plan[i] = (steps[-1][0], steps)
 
     if len(g._plan_cache) < ORACLE_PLAN_CAP:

@@ -275,9 +275,6 @@ class FieldElement:
         c = pow(r1[0], q - 2, q)
         return FieldElement(f, f._pack([v * c % q for v in s1]))
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
     def is_base(self) -> bool:
         """True when the element lies in the prime subfield."""
         return self.pk >> self.field._slot == 0

@@ -11,7 +11,6 @@ explicitly so degenerate shapes survive slicing and stacking.
 """
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from .gf import GF, Field, FieldElement, FieldMismatchError
@@ -55,15 +54,6 @@ class Mat:
                 raise LinalgError("ragged rows")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_ints(cls, field: Field, rows: Sequence[Sequence], ncols: int | None = None) -> "Mat":
-        return cls(field, [[field(v) for v in r] for r in rows], ncols)
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -135,12 +125,6 @@ class Mat:
         if self.nrows != other.nrows:
             raise LinalgError("row count mismatch in hstack")
         return Mat(f, [ra + rb for ra, rb in zip(self.rows, other.rows)], self.ncols + other.ncols)
-
-    def vstack(self, other: "Mat") -> "Mat":
-        f = _same_field(self, other)
-        if self.ncols != other.ncols:
-            raise LinalgError("column count mismatch in vstack")
-        return Mat(f, self.rows + other.rows, self.ncols)
 
     # -- elimination -------------------------------------------------------
 
@@ -243,9 +227,6 @@ class Mat:
             "entries": [[list(v.coeffs) for v in r] for r in self.rows],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Mat":
         missing = [key for key in ("rows", "cols", "q", "m", "modulus", "entries") if key not in obj]
@@ -262,11 +243,6 @@ class Mat:
         if (m.nrows, m.ncols) != (obj["rows"], obj["cols"]):
             raise LinalgError("JSON shape mismatch")
         return m
-
-    @classmethod
-    def from_json(cls, text: str) -> "Mat":
-        return cls.from_json_obj(json.loads(text))
-
 
 def _check_indices(idx: Sequence[int], bound: int) -> None:
     prev = -1

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -23,6 +24,24 @@ def ex2():
 def random_block(g, rng: random.Random):
     ext = g.field()
     return [ext.random_element(rng) for _ in range(g.derived.k)]
+
+
+def mat(field, rows, ncols=None):
+    """A Mat whose entries are field(v) for the given ints or coefficient tuples."""
+    return Mat(field, [[field(v) for v in r] for r in rows], ncols)
+
+
+def zeros(field, nrows, ncols):
+    return Mat(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
+
+
+def mat_to_json(a):
+    """The JSON text of a Mat, keys sorted."""
+    return json.dumps(a.to_json_obj(), sort_keys=True)
+
+
+def mat_from_json(text):
+    return Mat.from_json_obj(json.loads(text))
 
 
 def mutated(g, i, c, delta=None):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamfec.channel import (BudgetError, ChannelError, ERASED, ErasurePattern,
-                               apply, enumerate_block_patterns, is_admissible,
+                               apply, enumerate_block_patterns, event_kind, is_admissible,
                                sample_stream_pattern)
 
 
@@ -27,8 +27,10 @@ class TestErasurePattern:
         assert p.to_text() == "0,1,2,6,8"
 
     def test_burst_detection(self):
-        assert ErasurePattern.make(8, [2, 3, 4]).is_burst()
-        assert not ErasurePattern.make(8, [2, 4]).is_burst()
+        assert event_kind((2, 3, 4), 5, 2) == "burst"
+        assert event_kind((2, 4), 5, 1) is None
+        assert event_kind((2, 3, 4), 5, 3) == "arbitrary"
+        assert event_kind((2, 3, 4, 5), 3, 2) is None
 
 
 class TestIsAdmissible:
@@ -95,7 +97,7 @@ def brute_force_patterns(n, W, B, N):
         for combo in combinations(range(n), size):
             p = ErasurePattern(n, combo)
             sparse = len(combo) <= N
-            burst = p.is_burst() and len(combo) <= B
+            burst = bool(combo) and combo[-1] - combo[0] == len(combo) - 1 and len(combo) <= B
             if (sparse or burst or not combo) and is_admissible(p, W, B, N):
                 out.add(combo)
     return out

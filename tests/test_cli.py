@@ -154,6 +154,14 @@ class TestSimulate:
         assert out == ""
         assert "--trials must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("length", ["-1", "-3"])
+    def test_negative_len_exit_2(self, capsys, length):
+        code, out, err = run(capsys, "simulate", "--W", "10", "--T", "9", "--B", "5",
+                             "--N", "3", "--len", length)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --len must be >= 0, got {length}\n"
+
 
 class TestExport:
     def test_stdout(self, capsys):
@@ -189,3 +197,15 @@ def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command):
+    """An --out path in a missing directory is a usage error, not a traceback
+    or a found failure."""
+    path = tmp_path / "missing" / "x.json"
+    extra = ["--len", "20", "--trials", "1"] if command == "simulate" else []
+    code, _, err = run(capsys, command, *EX1, *extra, "--out", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()

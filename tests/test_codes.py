@@ -7,13 +7,15 @@ from streamfec.matrix import Mat
 from streamfec.codes import (BudgetError, CodeError, MdsCode, build_gabidulin,
                              build_mds, subcode_columns, verify_mds, verify_mrd)
 
+from conftest import mat, zeros
+
 
 class TestBuildMds:
     def test_repetition(self):
         code = build_mds(1, GF(2))
         assert (code.n, code.k) == (2, 1)
         f2 = GF(2)
-        assert code.gen == Mat.from_ints(f2, [[1, 1]])
+        assert code.gen == mat(f2, [[1, 1]])
 
     def test_n2_exhaustively_mds(self):
         assert verify_mds(build_mds(2, GF(5)))
@@ -41,12 +43,12 @@ class TestBuildMds:
 class TestVerifyMds:
     def test_zero_parity_fails(self):
         f5 = GF(5)
-        bad = MdsCode(n=4, k=2, gen=Mat.identity(f5, 2).hstack(Mat.zeros(f5, 2, 2)))
+        bad = MdsCode(n=4, k=2, gen=Mat.identity(f5, 2).hstack(zeros(f5, 2, 2)))
         assert not verify_mds(bad)
 
     def test_budget_refusal(self):
         f = GF(23)
-        wide = MdsCode(n=20, k=2, gen=Mat.zeros(f, 2, 20))
+        wide = MdsCode(n=20, k=2, gen=zeros(f, 2, 20))
         with pytest.raises(BudgetError):
             verify_mds(wide)
 

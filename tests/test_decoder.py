@@ -128,6 +128,56 @@ class TestOraclePlanByRank:
                 assert plan_column(g, steps) == unit(g, i)
 
 
+def _reference_plan(g, erased):
+    """The oracle plan from the whole generator: one reduction of
+    [G_R | I_k], with G_R the received columns of G in arrival order, gives
+    [R | E] with E @ G_R = R.  The pivot columns of R are the earliest basis
+    of the received columns; symbol i is recoverable iff column i of E
+    vanishes below the rank, and its steps are that column over the basis."""
+    k = g.derived.k
+    received = [t for t in range(g.derived.n) if t not in erased]
+    R, pivots = g.G.select_columns(received).hstack(Mat.identity(g.field(), k)).rref()
+    basis = [received[c] for c in pivots if c < len(received)]
+    plan = {}
+    for i in range(k):
+        col = [row[len(received) + i] for row in R.rows]
+        if not any(col[len(basis):]):
+            steps = tuple((pos, c) for pos, c in zip(basis, col) if c)
+            plan[i] = (steps[-1][0], steps)
+    return plan
+
+
+class TestOraclePlanMatchesReference:
+    """oracle_plan, which reduces only the erased block of P, equals the
+    reduction of the whole generator bit for bit: same symbols in the same
+    order, same times, positions and coefficients."""
+
+    @staticmethod
+    def assert_same_plans(g, patterns):
+        for erased in map(frozenset, patterns):
+            assert list(oracle_plan(g, erased).items()) == \
+                list(_reference_plan(g, erased).items()), sorted(erased)
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
+    def test_admissible_block_patterns(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        d = g.derived
+        self.assert_same_plans(g, (p.erased for p in enumerate_block_patterns(d.n, d.B, d.N)))
+
+    @pytest.mark.parametrize("params", SMALL_CODES)
+    def test_every_erasure_subset_of_small_codes(self, params):
+        g = build_code(validate_and_derive(StreamParams(*params)))
+        n = g.derived.n
+        self.assert_same_plans(g, (e for size in range(n + 1)
+                                   for e in itertools.combinations(range(n), size)))
+
+    @pytest.mark.parametrize("i, c", [(3, 1), (0, 0), (6, 4)])
+    def test_mutated_parity(self, ex1, i, c):
+        bad = mutated(ex1, i, c)
+        d = bad.derived
+        self.assert_same_plans(bad, (p.erased for p in enumerate_block_patterns(d.n, d.B, d.N)))
+
+
 class TestClassifyPattern:
     def test_long_burst(self, ex1):
         d = ex1.derived
