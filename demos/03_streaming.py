@@ -1,9 +1,9 @@
 """Stream packets through a lossy channel and recover them within the delay.
 
 The block code is spread along diagonals of the (symbol row x time) grid,
-giving a convolutional code with memory n - 1.  Whole-packet erasures at
-stream level land on each diagonal with the same shape, so every source
-packet is reproduced at most T slots after it was sent.
+giving a convolutional code with memory n - 1.  Each diagonal is decoded
+as one code block, so on an admissible channel every source packet is
+reproduced at most T slots after it was sent.
 """
 import random
 

@@ -108,14 +108,13 @@ def enumerate_block_patterns(n: int, B: int, N: int) -> list[ErasurePattern]:
 
 
 def sample_stream_pattern(length: int, W: int, B: int, N: int, seed: int) -> ErasurePattern:
-    """Seeded admissible pattern over a long horizon.
+    """Seeded admissible pattern over a horizon of the given length.
 
     Alternates burst events (length <= B) and sparse events (<= N erasures
     inside one window) separated by at least W - 1 clean guard slots, so no
-    window ever sees two events.  The result is re-checked before return.
+    window ever sees two events.  Events are clipped to the horizon, which
+    may be shorter than W.  The result is re-checked before return.
     """
-    if length < W:
-        raise ChannelError(f"stream length {length} must be >= window W={W}")
     rng = random.Random(seed)
     erased: list[int] = []
     t = rng.randrange(0, W)

@@ -98,8 +98,7 @@ def build_gabidulin(n: int, k: int, field: Field) -> MrdCode:
         raise CodeError(f"extension degree too small: need m >= {n}, have m = {field.m}")
     g = alpha_power_basis(field, n)
     moore = Mat(field, [[frobenius(gj, i) for gj in g] for i in range(k)], n)
-    gen_sys = moore.systematize() if k else moore
-    return MrdCode(n=n, k=k, gen_moore=moore, gen_sys=gen_sys)
+    return MrdCode(n=n, k=k, gen_moore=moore, gen_sys=moore.systematize())
 
 
 def _random_full_rank(field: Field, nrows: int, ncols: int, rng: random.Random) -> Mat:
@@ -120,8 +119,6 @@ def verify_mrd(code: MrdCode, trials: int = 100, seed: int = 0) -> bool:
     that the code is not MRD; success over many trials is strong evidence.
     """
     rng = random.Random(seed)
-    if code.k == 0:
-        return True
     ext = code.gen_sys.field
     for _ in range(trials):
         t = _random_full_rank(ext, code.n, code.k, rng).embed_into(ext)

@@ -44,9 +44,6 @@ class DerivedParams:
     q: int
     m: int
 
-    def field(self) -> Field:
-        return GF(self.q, self.m)
-
     @cached_property
     def deadlines(self) -> tuple[int, ...]:
         """Per source symbol i, its deadline min(i + T_eff, n - 1)."""
@@ -56,7 +53,6 @@ class DerivedParams:
         return {
             "k": self.k, "n": self.n, "M": self.M, "delta": self.delta,
             "q": self.q, "m": self.m, "T_eff": self.T_eff,
-            "modulus": list(self.field().modulus),
         }
 
 
@@ -127,7 +123,7 @@ class GeneratorSet:
         d = self.derived
         return {
             "params": {"W": d.W, "T": d.T, "B": d.B, "N": d.N},
-            "derived": d.to_json_obj(),
+            "derived": {**d.to_json_obj(), "modulus": list(self.field().modulus)},
             "G": self.G.to_json_obj(),
             "constituents": {
                 "mds": self.mds.to_json_obj(),
@@ -150,7 +146,7 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     never branches on emptiness.
     """
     k, B, N, M, delta = d.k, d.B, d.N, d.M, d.delta
-    ext = d.field()
+    ext = GF(d.q, d.m)
 
     mds = build_mds(N, GF(d.q))
     mrd = build_gabidulin(k + delta, k - B + delta, ext)

@@ -60,8 +60,6 @@ def _poly_trim(p: list[int]) -> list[int]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -141,9 +139,7 @@ def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
         return False
     if m == 1:
         return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
-    # cheap screen: a root in Z_q means a linear factor
+    # cheap screen: a root in Z_q means a linear factor (r = 0: divisible by x)
     for r in range(q):
         acc = 0
         for c in reversed(coeffs):

@@ -4,13 +4,16 @@ Channel packet row j at time t carries codeword symbol j of the block
 codeword whose diagonal starts at t - j: the diagonal starting at d encodes
 the source symbols (s_d[0], s_{d+1}[1], ..., s_{d+k-1}[k-1]).  Systematic
 rows therefore carry s_t[j] verbatim; parity rows mix the previous n - 1
-source packets, giving an (n, k, n-1) convolutional code.  Whole-packet
-erasures at stream level induce, on each diagonal, exactly the same shape
-of erasure (bursts stay bursts, sparse stays sparse), so every diagonal is
-decoded independently by the block decoders with delay T_eff.  A diagonal
-is read straight from the packet list, as a plain list of symbols
+source packets, giving an (n, k, n-1) convolutional code.  A diagonal is
+read straight from the packet list, as a plain list of symbols
 (``_diagonal``), and so is its erasure pattern: position p of the diagonal
-starting at d is erased iff slot d + p is.
+starting at d is erased iff slot d + p is.  A diagonal spans n slots, more
+than the window W when B > N, so its pattern need not be one burst or at
+most N erasures: for (W, T, B, N) = (10, 9, 5, 3), n = 12 and the
+admissible {0, 1, 10, 11} is neither.  Every diagonal is therefore decoded
+by the oracle plan alone, and a symbol counts as recovered only by its
+deadline; on an admissible stream every diagonal meets all of them
+(acceptance criterion 10).
 """
 from __future__ import annotations
 
@@ -44,13 +47,10 @@ class StreamEncoder:
         zero_packet = [g.field().zero] * d.k
         # history[0] is the packet at time t - (n-1), history[-1] at t - 1
         self.history: deque = deque([zero_packet] * (d.n - 1), maxlen=d.n - 1)
-        self.time = 0
 
-    def push(self, symbols: Sequence, t: Optional[int] = None) -> list:
-        """Encode the source packet for the current slot; packets must arrive in order."""
+    def push(self, symbols: Sequence) -> list:
+        """Encode the source packet of the next slot."""
         d = self.g.derived
-        if t is not None and t != self.time:
-            raise StreamError(f"out-of-order packet: expected t={self.time}, got t={t}")
         if len(symbols) != d.k:
             raise StreamError(f"expected {d.k} source symbols, got {len(symbols)}")
         ext = self.g.field()
@@ -63,7 +63,6 @@ class StreamEncoder:
             diag = _diagonal(past, d.n - 1 - (d.k + col), d.k, ext.zero)
             out.append(evaluate_plan(steps, diag, ext.zero))
         self.history.append(s_now)
-        self.time += 1
         return out
 
 
@@ -161,13 +160,9 @@ def stream_decode(received: Sequence, g: GeneratorSet,
     return packets, report
 
 
-def delay_check(report: StreamReport, T_eff: Optional[int] = None) -> bool:
+def delay_check(report: StreamReport, T_eff: int) -> bool:
     """True iff every packet was recovered within the delay budget."""
-    if report.failures:
-        return False
-    if T_eff is None:
-        return True
-    return report.max_latency <= T_eff
+    return not report.failures and report.max_latency <= T_eff
 
 
 def simulate(g: GeneratorSet, length: int, seed: int,

@@ -9,6 +9,13 @@ from streamfec.gf import Field
 from streamfec.matrix import Mat
 
 
+SMALL_CODES = [(2, 1, 1, 1), (6, 5, 3, 3), (6, 5, 2, 2), (5, 4, 2, 1)]
+
+# (W, T, B, N) of every code the exhaustive gates cover: ex1, ex2, the small
+# codes and (6, 9, 3, 2), whose window is shorter than its delay allows.
+GATE_CODES = [(10, 9, 5, 3), (11, 10, 4, 2), *SMALL_CODES, (6, 9, 3, 2)]
+
+
 @pytest.fixture(scope="session")
 def ex1():
     """The (W=10, T=9, B=5, N=3) code: k=7, n=12, M=1, delta=2, GF(7^9)."""

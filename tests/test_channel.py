@@ -160,9 +160,13 @@ class TestSampleStreamPattern:
                      for s in range(50)]
         assert max(densities) > 0
 
-    def test_too_short_rejected(self):
-        with pytest.raises(ChannelError):
-            sample_stream_pattern(5, 10, 4, 2, 0)
+    def test_short_horizon_admissible(self):
+        # a horizon shorter than W is one partial window
+        for length in range(10):
+            for seed in range(20):
+                p = sample_stream_pattern(length, 10, 4, 2, seed)
+                assert p.horizon == length
+                assert is_admissible(p, 10, 4, 2)
 
 
 class TestApply:

@@ -154,6 +154,14 @@ class TestSimulate:
         assert out == ""
         assert "--trials must be >= 0, got -1" in err
 
+    def test_zero_len_on_window_longer_than_horizon(self, capsys):
+        # (6, 5, 3, 3) has n = 6, so a zero-length stream spans 5 < W slots
+        code, out, err = run(capsys, "simulate", "--W", "6", "--T", "5", "--B", "3",
+                             "--N", "3", "--len", "0", "--trials", "1")
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert (summary["packets"], summary["recovered"], summary["failures"]) == (0, 0, [])
+
     @pytest.mark.parametrize("length", ["-1", "-3"])
     def test_negative_len_exit_2(self, capsys, length):
         code, out, err = run(capsys, "simulate", "--W", "10", "--T", "9", "--B", "5",
@@ -184,28 +192,40 @@ EX1 = ["--W", "10", "--T", "9", "--B", "5", "--N", "3"]
 EX2 = ["--W", "11", "--T", "10", "--B", "4", "--N", "2"]
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("build_ex1", ["build", *EX1]),
-    ("build_ex2", ["build", *EX2]),
-    ("export_ex1", ["export", *EX1]),
-    ("export_ex2", ["export", *EX2]),
-    ("verify_erase_ex1", ["verify", *EX1, "--erase", "0,1,2,3,4"]),
-    ("simulate_ex1", ["simulate", *EX1, "--len", "60", "--trials", "3", "--seed", "11"]),
-])
-def test_golden_stdout(capsys, name, argv):
-    """Stdout is byte-identical to the output recorded in tests/golden."""
+GOLDEN = [
+    ("build_ex1", ["build", *EX1], 0),
+    ("build_ex2", ["build", *EX2], 0),
+    ("export_ex1", ["export", *EX1], 0),
+    ("export_ex2", ["export", *EX2], 0),
+    ("verify_erase_ex1", ["verify", *EX1, "--erase", "0,1,2,3,4"], 0),
+    ("simulate_ex1", ["simulate", *EX1, "--len", "60", "--trials", "3", "--seed", "11"], 0),
+    ("verify_erase6_ex1", ["verify", *EX1, "--erase", "0,1,2,3,4,5"], 1),
+    ("verify_ex2", ["verify", *EX2, "--trials", "1"], 0),
+    ("verify_random_n5", ["verify", "--W", "10", "--T", "9", "--B", "5", "--N", "5",
+                          "--trials", "4"], 0),
+    ("simulate_w6", ["simulate", "--W", "6", "--T", "9", "--B", "3", "--N", "2",
+                     "--len", "300", "--trials", "5", "--seed", "4"], 0),
+]
+
+
+# ids as pytest named the cases before the exit-code column, so test names stay
+@pytest.mark.parametrize("name, argv, exit_code", GOLDEN,
+                         ids=[f"{name}-argv{i}" for i, (name, _, _) in enumerate(GOLDEN)])
+def test_golden_stdout(capsys, name, argv, exit_code):
+    """Stdout and exit code match the output recorded in tests/golden."""
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("command", ["build", "export", "simulate"])
 def test_unwritable_out_exits_2(capsys, tmp_path, command):
     """An --out path in a missing directory is a usage error, not a traceback
-    or a found failure."""
+    or a found failure, and nothing reaches stdout."""
     path = tmp_path / "missing" / "x.json"
     extra = ["--len", "20", "--trials", "1"] if command == "simulate" else []
-    code, _, err = run(capsys, command, *EX1, *extra, "--out", str(path))
+    code, out, err = run(capsys, command, *EX1, *extra, "--out", str(path))
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and str(path) in err
     assert not path.exists()

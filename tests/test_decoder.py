@@ -12,7 +12,7 @@ from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pa
                                oracle_plan)
 from streamfec.matrix import Mat
 
-from conftest import mutated, random_block
+from conftest import GATE_CODES, SMALL_CODES, mutated, random_block
 
 
 def received(g, s, erased):
@@ -69,9 +69,6 @@ class TestOracle:
     def test_wrong_length_rejected(self, ex1):
         with pytest.raises(DecoderError):
             oracle_decode(ex1, [ex1.field().zero] * 5)
-
-
-SMALL_CODES = [(2, 1, 1, 1), (6, 5, 3, 3), (6, 5, 2, 2), (5, 4, 2, 1)]
 
 
 def unit(g, i):
@@ -257,6 +254,25 @@ class TestStructuredMatchesOracle:
             for p in enumerate_block_patterns(d.n, d.B, d.N):
                 y = received(g, s, p.erased)
                 assert decode_structured(g, y).values() == s == oracle_decode(g, y).values()
+
+
+class TestEquivalenceByLinearity:
+    """For a fixed erasure pattern both decoders are linear maps of the
+    received block, and so is the encoder of the source block.  A decoder
+    that returns each of the k unit source blocks therefore returns every
+    source block: the check is a proof, not a sample.  The oracle returns a
+    value only by the symbol's deadline, so its deadlines are proved too."""
+
+    @pytest.mark.parametrize("params", GATE_CODES)
+    def test_unit_blocks_on_every_block_pattern(self, params):
+        g = build_code(validate_and_derive(StreamParams(*params)))
+        d = g.derived
+        units = [unit(g, i) for i in range(d.k)]
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
+            for u in units:
+                y = received(g, u, p.erased)
+                assert oracle_decode(g, y).values() == u, p.erased
+                assert decode_structured(g, y).values() == u, p.erased
 
 
 class TestStructuredPipelines:

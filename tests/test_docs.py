@@ -17,5 +17,7 @@ def test_readme_quick_start_runs():
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, capsys):
+    """Each demo prints exactly the output recorded in tests/golden."""
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
-    assert capsys.readouterr().out
+    golden = ROOT / "tests" / "golden" / f"demo_{Path(demo).stem}.txt"
+    assert capsys.readouterr().out == golden.read_text()
