@@ -11,12 +11,13 @@ import argparse
 import json
 import random
 import sys
+from itertools import chain
 
 from .channel import BudgetError, ErasurePattern, apply, enumerate_block_patterns
 from .construction import (StreamParams, build_code, capacity, encode_block,
                            validate_and_derive)
 from .decoder import DecoderError, classify_pattern, decode_structured, oracle_decode
-from .stream import simulate
+from .stream import StreamReport, simulate
 
 _EXHAUSTIVE_DEFAULT_MAX_N = 14
 
@@ -140,25 +141,17 @@ def cmd_simulate(args) -> int:
         if value < 0:
             print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
             return 2
-    d, g = _build(args)
-    packets = erased = recovered = 0
-    max_latency = 0
-    failures = []
-    for trial in range(args.trials):
-        rep, _pat = simulate(g, args.len, args.seed + trial)
-        packets += rep.packets
-        erased += rep.erased_slots
-        recovered += rep.recovered()
-        max_latency = max(max_latency, rep.max_latency)
-        failures.extend([trial, t] for t in rep.failures)
-    summary = {} if args.trials == 0 else {
-        "packets": packets, "erased": erased, "recovered": recovered,
-        "max_latency": max_latency, "failures": failures,
-    }
+    _, g = _build(args)
+    reports = [simulate(g, args.len, args.seed + trial)[0] for trial in range(args.trials)]
+    summary = {}
+    if reports:
+        summary = StreamReport(sum(r.erased_slots for r in reports),
+                               tuple(chain.from_iterable(r.latencies for r in reports))).to_json_obj()
+        summary["failures"] = [[trial, t] for trial, r in enumerate(reports) for t in r.failures]
     if args.out:
         _write(args.out, summary)
     print(json.dumps(summary, sort_keys=True))
-    return 0 if not failures else 1
+    return 1 if summary.get("failures") else 0
 
 
 def cmd_capacity(args) -> int:

@@ -99,7 +99,10 @@ def _report(g: GeneratorSet, times: dict, vals: dict) -> DecodeReport:
 # Oracle decoder
 # ---------------------------------------------------------------------------
 
-def _erased_positions(y) -> frozenset[int]:
+def _erased_positions(g: GeneratorSet, y) -> frozenset[int]:
+    """The erased positions of one received block of n symbols."""
+    if len(y) != g.derived.n:
+        raise DecoderError(f"expected {g.derived.n} received symbols, got {len(y)}")
     return frozenset(t for t, v in enumerate(y) if v is ERASED)
 
 
@@ -153,9 +156,7 @@ def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
     Late symbols report their recovery time but no value, as failed.
     """
     d = g.derived
-    if len(y) != d.n:
-        raise DecoderError(f"expected {d.n} received symbols, got {len(y)}")
-    plan = oracle_plan(g, _erased_positions(y))
+    plan = oracle_plan(g, _erased_positions(g, y))
     zero = g.field().zero
     times = {i: t for i, (t, _) in plan.items()}
     vals = {i: evaluate_plan(steps, y, zero) for i, (t, steps) in plan.items()
@@ -199,21 +200,14 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     rank under it.  Returns the recovered values and the last codeword
     position used.
     """
-    d = g.derived
-    if cols and cols[-1] >= d.N and unknowns[0] < d.delta:
-        raise StructuralFailureError("top outer symbol unknown while using a late parity column")
-    steps = g.encoder_plan
+    k, f, steps = g.derived.k, g.field(), g.encoder_plan
     in_system = set(unknowns) | set(interference)
-    rhs = []
     for c in cols:
-        v = y[d.k + c]
-        for i, p in steps[c]:
-            if i in vals:
-                v = v - vals[i] * p
-            elif i not in in_system:
+        for i, _ in steps[c]:
+            if i not in vals and i not in in_system:
                 raise StructuralFailureError(
                     f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
-        rhs.append(v)
+    rhs = [y[k + c] - f.dot((vals[i], p) for i, p in steps[c] if i in vals) for c in cols]
     a = g.P.select_rows(unknowns).select_columns(cols)
     if interference:
         entries = g.P.select_rows(interference).select_columns(cols)
@@ -223,24 +217,20 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
         if not (entries @ kernel).is_zero():
             raise StructuralFailureError("null-out failed: interference not cancelled")
         a = a @ kernel
-        rhs = (Mat(g.field(), [rhs], len(cols)) @ kernel).rows[0]
+        rhs = (Mat(f, [rhs], len(cols)) @ kernel).rows[0]
     try:
         x = a.solve_left(rhs)
     except (NoSolution, Underdetermined) as exc:
         raise StructuralFailureError(f"{stage} solve degenerate: {type(exc).__name__}") from None
-    return dict(zip(unknowns, x)), d.k + cols[-1]
+    return dict(zip(unknowns, x)), k + cols[-1]
 
 
-def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeReport:
-    """Structured decode of one received block; kind defaults to
-    classify_pattern of its erasures.  Stages as in the module docstring."""
+def decode_structured(g: GeneratorSet, y, kind: str) -> DecodeReport:
+    """Structured decode of one received block whose erasures classify_pattern
+    names kind.  Stages as in the module docstring."""
     d = g.derived
-    if len(y) != d.n:
-        raise DecoderError(f"expected {d.n} received symbols, got {len(y)}")
     k, B, N, delta = d.k, d.B, d.N, d.delta
-    erased = _erased_positions(y)
-    if kind is None:
-        kind = classify_pattern(ErasurePattern(d.n, tuple(sorted(erased))), d)
+    erased = _erased_positions(g, y)
     vals = {i: y[i] for i in range(k) if i not in erased}
     times = {i: i for i in vals}
     u_outer = sorted(i for i in erased if i < delta or B <= i < k)
@@ -270,8 +260,6 @@ def decode_structured(g: GeneratorSet, y, kind: Optional[str] = None) -> DecodeR
             solve_outer(delta + (block + 1) * N)
         unknowns = [i for i in u_mid if _middle_block(d, i) == block]
         cols = received(delta + block * N, delta + (block + 1) * N)
-        if len(cols) < len(unknowns):
-            raise StructuralFailureError("not enough parity columns for sub-block solve")
         record(*_solve(g, y, vals, unknowns, cols, [], "sub-block"))
     if u_outer:
         solve_outer(B)

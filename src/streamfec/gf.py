@@ -312,7 +312,6 @@ class Field:
         self.q = q
         self.m = m
         self.modulus = tuple(modulus)
-        self.order = q ** m
         # Kronecker slot width.  A raw product puts at most m (q-1)^2 in a
         # slot, a dot sums DOT_TERMS of them, and _reduce's fold adds up to
         # (m-1) (q-1)^2 more to each low slot: the slot holds all of it.

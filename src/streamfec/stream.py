@@ -78,7 +78,9 @@ def encode_stream(packets: Sequence[Sequence], g: GeneratorSet) -> list:
 class StreamReport:
     """What stream_decode measured: the number of erased slots and, per
     source packet, its largest symbol latency, or None if any symbol missed
-    recovery by its deadline.  The rest is derived from those two."""
+    recovery by its deadline.  The rest is derived from those two.
+    erased_slots counts erasures in every transmitted slot, the n - 1 flush
+    slots included, while packets counts source packets only."""
 
     erased_slots: int
     latencies: tuple
@@ -109,24 +111,20 @@ class StreamReport:
         }
 
 
-def stream_decode(received: Sequence, g: GeneratorSet,
-                  num_source: Optional[int] = None,
+def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
                   values: bool = True) -> tuple[Optional[list], StreamReport]:
     """Decode a received channel stream diagonal by diagonal.
 
     ``received`` holds one channel packet (n symbols) or ERASED per slot;
     with ``values=True`` a packet of any other width raises StreamError.
-    ``num_source`` is the number of real source packets (default: horizon
-    minus the n - 1 flush slots).  With ``values=False`` only the recovery
+    ``num_source`` is the number of real source packets; the n - 1 slots
+    after them carry the flush.  With ``values=False`` only the recovery
     plan is evaluated (which positions resolve by which time), skipping the
     per-symbol arithmetic; the latency report is identical.
     """
     dd = g.derived
     n, k = dd.n, dd.k
-    horizon = len(received)
-    if num_source is None:
-        num_source = horizon - (n - 1)
-    if num_source < 0 or num_source + n - 1 > horizon:
+    if num_source < 0 or num_source + n - 1 > len(received):
         raise StreamError("stream too short for the requested source packet count")
     if values:
         bad = next((t for t, p in enumerate(received) if p is not ERASED and len(p) != n), None)

@@ -7,15 +7,16 @@ criteria.
 """
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamfec.channel import (ErasurePattern, apply, enumerate_block_patterns, is_admissible,
                                sample_stream_pattern)
 from streamfec.codes import build_gabidulin, build_mds, subcode_columns, verify_mds, verify_mrd
-from streamfec.construction import (StreamParams, build_code, capacity, encode_block,
-                                    validate_and_derive)
+from streamfec.construction import (ParamError, StreamParams, build_code, capacity,
+                                    encode_block, validate_and_derive)
 from streamfec.decoder import (StructuralFailureError, classify_pattern, deadline_table,
                                decode_structured, oracle_decode, oracle_plan)
 from streamfec.gf import GF, is_prime, next_prime
@@ -39,6 +40,19 @@ def scan_parameter_space():
                     continue
                 out.append(validate_and_derive(StreamParams(T + 1, T, B, N)))
     return out
+
+
+def scan_short_windows():
+    """The same range with every window W in (B, T]: the window, not the
+    delay, bounds T_eff = W - 1, so each code is the one scan_parameter_space
+    derives at delay W - 1."""
+    return [validate_and_derive(StreamParams(W, T, B, N))
+            for T in range(1, 13) for B in range(1, T + 1) for N in range(1, B + 1)
+            for W in range(B + 1, T + 1) if W - N >= B]
+
+
+def code_shape(d):
+    return (d.k, d.n, d.M, d.delta, d.q, d.m)
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +85,15 @@ def test_criterion_1_rate_optimality(capsys):
         if Fraction(d.k, d.n) != capacity(d.T, d.B, d.N):
             ok = False
         if g.G.nrows != d.k or g.G.ncols != d.n:
+            ok = False
+    # W <= T: the codes above, so their generators are not built again
+    built = {(d.T, d.B, d.N): code_shape(d) for d in derived}
+    short = scan_short_windows()
+    ok = ok and len(short) > 100
+    for d in short:
+        if d.T_eff != d.W - 1 or Fraction(d.k, d.n) != capacity(d.T_eff, d.B, d.N):
+            ok = False
+        if built[(d.T_eff, d.B, d.N)] != code_shape(d):
             ok = False
     report(capsys, 1, ok)
 
@@ -181,14 +204,14 @@ def test_criterion_8_streaming_simulation(capsys, ex1, ex2):
 
 def test_criterion_9_field_size(capsys):
     ok = True
-    for d in scan_parameter_space():
+    for d in scan_parameter_space() + scan_short_windows():
         if not is_prime(d.q) or d.q < 2 * d.N:
             ok = False
         if any(is_prime(p) for p in range(2 * d.N, d.q)):
             ok = False  # a smaller admissible prime exists
-        if d.m != d.k + d.delta or d.m > d.T:
+        if d.m != d.k + d.delta or d.m > d.T_eff:
             ok = False
-        if d.q ** d.m > (2 * d.N) ** d.T * 2 ** d.T:
+        if d.q ** d.m > (2 * d.N) ** d.T_eff * 2 ** d.T_eff:
             ok = False
     report(capsys, 9, ok)
 
@@ -229,3 +252,26 @@ def test_criterion_10_every_admissible_diagonal_meets_its_deadlines(capsys, ex1)
     # negative control: with P[0, 0] zeroed, ex1 misses deadlines
     ok = ok and diagonal_misses(mutated(ex1, 0, 0, -ex1.P[0, 0]))[1] > 0
     report(capsys, 10, ok)
+
+
+def accepted_small_params():
+    """Every (W, T, B, N) with W <= 13 and T <= 14 that validate_and_derive
+    accepts with n <= 12, T >= W included."""
+    out = []
+    for W, T, B, N in product(range(2, 14), range(1, 15), range(1, 13), range(1, 13)):
+        try:
+            d = validate_and_derive(StreamParams(W, T, B, N))
+        except ParamError:
+            continue
+        if d.n <= 12:
+            out.append((W, T, B, N))
+    return out
+
+
+@given(st.sampled_from(accepted_small_params()))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_gate_holds_on_any_small_code(params):
+    """Criterion 10's gate on a drawn code: every admissible horizon-n
+    pattern meets its deadlines under oracle_plan."""
+    count, misses = diagonal_misses(build_code(validate_and_derive(StreamParams(*params))))
+    assert count > 0 and misses == 0

@@ -205,6 +205,9 @@ GOLDEN = [
                           "--trials", "4"], 0),
     ("simulate_w6", ["simulate", "--W", "6", "--T", "9", "--B", "3", "--N", "2",
                      "--len", "300", "--trials", "5", "--seed", "4"], 0),
+    ("simulate_len0_w6", ["simulate", "--W", "6", "--T", "5", "--B", "3", "--N", "3",
+                          "--len", "0", "--trials", "1"], 0),
+    ("simulate_trials0_ex1", ["simulate", *EX1, "--trials", "0"], 0),
 ]
 
 
@@ -215,6 +218,28 @@ def test_golden_stdout(capsys, name, argv, exit_code):
     """Stdout and exit code match the output recorded in tests/golden."""
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
+    assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
+
+
+# (golden name, argv, (i, c) of the P entry changed, zeroed instead of raised by one)
+MUTATED_GOLDEN = [
+    ("simulate_mutated31_ex1", ["simulate", *EX1, "--len", "80", "--trials", "4", "--seed", "2"],
+     (3, 1), False),
+    ("verify_mutated31_ex1", ["verify", *EX1, "--trials", "1"], (3, 1), False),
+    ("verify_zeroed00_ex1", ["verify", *EX1, "--trials", "1"], (0, 0), True),
+]
+
+
+@pytest.mark.parametrize("name, argv, entry, zero", MUTATED_GOLDEN,
+                         ids=[name for name, *_ in MUTATED_GOLDEN])
+def test_mutated_golden_stdout(capsys, monkeypatch, ex1, name, argv, entry, zero):
+    """A broken P makes the CLI report the same failures, byte for byte, with
+    exit 1: the [trial, t] labels of simulate and verify's structural text."""
+    i, c = entry
+    bad = mutated(ex1, i, c, -ex1.P.rows[i][c] if zero else None)
+    monkeypatch.setattr(cli, "build_code", lambda d: bad)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
     assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
 
 

@@ -224,7 +224,7 @@ class TestStructuredMatchesOracle:
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = received(g, s, p.erased)
             ref = oracle_decode(g, y)
-            got = decode_structured(g, y)
+            got = decode_structured(g, y, classify_pattern(p, d))
             assert ref.ok() and got.ok()
             assert got.values() == s == ref.values()
             bounds = table[classify_pattern(p, d)]
@@ -240,7 +240,7 @@ class TestStructuredMatchesOracle:
         s = random_block(g, random.Random(12))
         lines = []
         for p in enumerate_block_patterns(d.n, d.B, d.N):
-            rep = decode_structured(g, received(g, s, p.erased))
+            rep = decode_structured(g, received(g, s, p.erased), classify_pattern(p, d))
             lines.append(f"{p.to_text()}: " + " ".join(str(x.recovery_time) for x in rep.symbols))
         golden = Path(__file__).parent / "golden" / f"structured_times_{fixture}.txt"
         assert "\n".join(lines) + "\n" == golden.read_text()
@@ -253,7 +253,8 @@ class TestStructuredMatchesOracle:
             s = random_block(g, rng)
             for p in enumerate_block_patterns(d.n, d.B, d.N):
                 y = received(g, s, p.erased)
-                assert decode_structured(g, y).values() == s == oracle_decode(g, y).values()
+                kind = classify_pattern(p, d)
+                assert decode_structured(g, y, kind).values() == s == oracle_decode(g, y).values()
 
 
 class TestEquivalenceByLinearity:
@@ -272,7 +273,7 @@ class TestEquivalenceByLinearity:
             for u in units:
                 y = received(g, u, p.erased)
                 assert oracle_decode(g, y).values() == u, p.erased
-                assert decode_structured(g, y).values() == u, p.erased
+                assert decode_structured(g, y, classify_pattern(p, d)).values() == u, p.erased
 
 
 class TestStructuredPipelines:
@@ -300,7 +301,7 @@ class TestStructuredPipelines:
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = apply(x, p)
             try:
-                rep = decode_structured(bad, y)
+                rep = decode_structured(bad, y, classify_pattern(p, d))
             except StructuralFailureError:
                 wrong += 1
                 continue
@@ -322,7 +323,7 @@ class TestStructuredPipelines:
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = apply(x, p)
             if oracle_decode(bad, y).ok():
-                assert decode_structured(bad, y).values() == s, p.to_text()
+                assert decode_structured(bad, y, classify_pattern(p, d)).values() == s, p.to_text()
                 checked += 1
         assert checked > 0
 
@@ -335,7 +336,7 @@ class TestStructuredPipelines:
         x = encode_block(s, bad)
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             try:
-                rep = decode_structured(bad, apply(x, p))
+                rep = decode_structured(bad, apply(x, p), classify_pattern(p, d))
             except StructuralFailureError:
                 continue
             assert rep.values() == s, p.to_text()
@@ -347,8 +348,9 @@ class TestStructuredPipelines:
         in GF(q), so no GF(q) projection can cancel row 2."""
         bad = mutated(ex1, 2, 2, ex1.field().alpha)
         y = received(bad, random_block(bad, random.Random(14)), [0, 2])
+        kind = classify_pattern(ErasurePattern.make(12, [0, 2]), ex1.derived)
         with pytest.raises(StructuralFailureError) as exc:
-            decode_structured(bad, y)
+            decode_structured(bad, y, kind)
         assert str(exc.value) == "interference entry outside the base field"
 
 
@@ -375,7 +377,8 @@ class TestDeadlineTable:
 def test_report_json_shape(ex1):
     rng = random.Random(11)
     s = random_block(ex1, rng)
-    rep = decode_structured(ex1, received(ex1, s, [0, 4]))
+    kind = classify_pattern(ErasurePattern.make(12, [0, 4]), ex1.derived)
+    rep = decode_structured(ex1, received(ex1, s, [0, 4]), kind)
     obj = rep.to_json_obj()
     assert len(obj["symbols"]) == 7
     first = obj["symbols"][0]

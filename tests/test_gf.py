@@ -308,7 +308,7 @@ class TestInverse:
     def test_equals_fermat_reference(self, q, m, sample):
         f = GF(q, m)
         for a in _nonzero_elements(f, sample):
-            assert a.inverse() == a ** (f.order - 2)
+            assert a.inverse() == a ** (f.q ** f.m - 2)
 
     def test_extension_inverse_makes_no_field_multiply(self, reduce_calls):
         f = GF(7, 9)
@@ -325,7 +325,7 @@ class TestInverse:
         with pytest.raises(ZeroDivisionError):
             f.zero ** -1
         rng = random.Random(q + m)
-        for a in _nonzero_elements(f, 20 if f.order > 50 else None):
+        for a in _nonzero_elements(f, 20 if f.q ** f.m > 50 else None):
             b = f.random_element(rng)
             assert (b * a.inverse()) * a == b
             assert a ** -1 == a.inverse()

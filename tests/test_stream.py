@@ -60,7 +60,7 @@ class TestDecode:
     def test_clean_stream_round_trip_zero_latency(self, ex1):
         src = random_packets(ex1, 12, 3)
         sent = encode_stream(src, ex1)
-        decoded, rep = stream_decode(sent, ex1)
+        decoded, rep = stream_decode(sent, ex1, num_source=len(src))
         assert decoded == src
         assert rep.failures == ()
         assert rep.max_latency == 0
@@ -71,7 +71,7 @@ class TestDecode:
         src = random_packets(ex1, 25, 4)
         sent = encode_stream(src, ex1)
         pat = ErasurePattern.make(len(sent), range(10, 10 + d.B))
-        decoded, rep = stream_decode(apply(sent, pat), ex1)
+        decoded, rep = stream_decode(apply(sent, pat), ex1, num_source=len(src))
         assert rep.failures == ()
         assert decoded == src
         assert rep.max_latency <= d.T_eff
@@ -82,7 +82,7 @@ class TestDecode:
         src = random_packets(ex2, 20, 5)
         sent = encode_stream(src, ex2)
         pat = ErasurePattern.make(len(sent), range(d.B))
-        decoded, rep = stream_decode(apply(sent, pat), ex2)
+        decoded, rep = stream_decode(apply(sent, pat), ex2, num_source=len(src))
         assert rep.failures == ()
         assert decoded == src
         assert rep.max_latency <= d.T_eff
@@ -91,7 +91,7 @@ class TestDecode:
         src = random_packets(ex1, 30, 6)
         sent = encode_stream(src, ex1)
         pat = ErasurePattern.make(len(sent), range(15, 18))
-        _, rep = stream_decode(apply(sent, pat), ex1)
+        _, rep = stream_decode(apply(sent, pat), ex1, num_source=len(src))
         assert rep.latencies[2] == 0
         assert rep.latencies[29] == 0
 
@@ -100,7 +100,7 @@ class TestDecode:
         src = random_packets(ex1, 20, 7)
         sent = encode_stream(src, ex1)
         pat = ErasurePattern.make(len(sent), range(5, 5 + d.B + 2))
-        _, rep = stream_decode(apply(sent, pat), ex1)
+        _, rep = stream_decode(apply(sent, pat), ex1, num_source=len(src))
         assert rep.failures
         assert not delay_check(rep, d.T_eff)
 
@@ -109,9 +109,9 @@ class TestDecode:
         sent = encode_stream(src, ex2)
         pat = ErasurePattern.make(len(sent), [3, 4, 5, 6, 14, 17])
         got = apply(sent, pat)
-        _, rep_vals = stream_decode(got, ex2)
+        _, rep_vals = stream_decode(got, ex2, num_source=len(src))
         masked = [ERASED if p is ERASED else () for p in got]
-        _, rep_plan = stream_decode(masked, ex2, values=False)
+        _, rep_plan = stream_decode(masked, ex2, num_source=len(src), values=False)
         assert rep_plan.latencies == rep_vals.latencies
         assert rep_plan.failures == rep_vals.failures
 
@@ -119,7 +119,7 @@ class TestDecode:
         sent = encode_stream(random_packets(ex1, 5, 12), ex1)
         sent[3] = sent[3][:4]
         with pytest.raises(StreamError):
-            stream_decode(sent, ex1)
+            stream_decode(sent, ex1, num_source=5)
 
     def test_stream_too_short(self, ex1):
         with pytest.raises(StreamError):
