@@ -214,8 +214,6 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
         if any(e and not e.is_base() for row in entries.rows for e in row):
             raise StructuralFailureError("interference entry outside the base field")
         kernel = entries.right_kernel_basis()
-        if not (entries @ kernel).is_zero():
-            raise StructuralFailureError("null-out failed: interference not cancelled")
         a = a @ kernel
         rhs = (Mat(f, [rhs], len(cols)) @ kernel).rows[0]
     try:

@@ -18,12 +18,15 @@ back through alpha^d mod the modulus and takes every slot mod q.
 ``Field.dot`` sums many raw products before that single reduction: slots
 are wide enough for DOT_TERMS products, and a longer sum reduces in chunks.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
-modulus, not a q^m - 2 power.
+modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
+rounds of one power by q and one gcd mod the modulus, so no step of the
+modulus search or check grows with q faster than log q; only is_prime's
+trial division of q itself takes sqrt(q) steps.
 """
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from typing import Iterable, Sequence
 
 
@@ -36,7 +39,7 @@ class FieldMismatchError(FieldError):
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def next_prime(n: int) -> int:
@@ -117,44 +120,20 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
-    """Rabin's test for a monic polynomial over Z_q (constant term first)."""
+    """Ben-Or's test for a monic f of degree m over Z_q (constant term first).
+
+    x^(q^i) - x is the product of the monic irreducibles whose degree divides
+    i, and a reducible f has a factor of degree <= m/2, so f is irreducible
+    iff gcd(x^(q^i) - x, f) = 1 for every i <= m/2.  Round 1 is a root test.
+    """
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
-    if m == 1:
-        return True
-    # cheap screen: a root in Z_q means a linear factor (r = 0: divisible by x)
-    for r in range(q):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % q
-        if acc == 0:
-            return False
-    f = list(coeffs)
-    x = [0, 1]
-    # x^(q^m) == x mod f
-    if _poly_sub(_poly_powmod(x, q ** m, f, q), x, q):
-        return False
-    # gcd(x^(q^(m/p)) - x, f) == 1 for every prime p | m
-    for p in _prime_factors(m):
-        d = _poly_sub(_poly_powmod(x, q ** (m // p), f, q), x, q)
-        if len(_poly_gcd(d, f, q)) != 1:
+    f, x, h = list(coeffs), [0, 1], [0, 1]
+    for _ in range(m // 2):
+        h = _poly_powmod(h, q, f, q)
+        if len(_poly_gcd(_poly_sub(h, x, q), f, q)) != 1:
             return False
     return True
 
@@ -172,13 +151,12 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
         raise FieldError(f"extension degree must be >= 1, got {m}")
     if m == 1:
         return (0, 1)  # the polynomial x: base-field convention
-    # c0 = 0 would make the polynomial divisible by x, so start at c0 = 1;
-    # within fixed c0 the remaining coefficients run in lex order.
-    for c0 in range(1, q):
-        for rest in itertools.product(range(q), repeat=m - 1):
-            cand = (c0,) + rest + (1,)
-            if is_irreducible(cand, q):
-                return cand
+    # c0 .. c_(m-1) are the base-q digits of v, most significant first; v
+    # starts at q^(m-1) because c0 = 0 would make the candidate divisible by x
+    for v in range(q ** (m - 1), q ** m):
+        cand = tuple(v // q ** (m - 1 - i) % q for i in range(m)) + (1,)
+        if is_irreducible(cand, q):
+            return cand
     raise AssertionError("no irreducible polynomial found (impossible)")
 
 

@@ -107,9 +107,6 @@ class Mat:
         dot = f.dot
         return Mat(f, [[dot(zip(ra, cb)) for cb in bt] for ra in self.rows], other.ncols)
 
-    def is_zero(self) -> bool:
-        return all(not v for r in self.rows for v in r)
-
     # -- selection ---------------------------------------------------------
 
     def select_columns(self, idx: Sequence[int]) -> "Mat":

@@ -157,8 +157,8 @@ def test_criterion_5_per_symbol_deadlines(capsys, exhaustive_runs):
 
 
 def test_criterion_6_decoder_equivalence(capsys, exhaustive_runs):
-    # decode_structured raises StructuralFailureError whenever a null-out
-    # leaves residual interference or the reduced system is not uniquely
+    # decode_structured raises StructuralFailureError whenever an interference
+    # entry lies outside the base field or the reduced system is not uniquely
     # solvable; records exist only because no such error fired.
     ok = True
     for g, records in exhaustive_runs.values():

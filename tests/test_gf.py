@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,15 @@ def _brute_irreducibles(q, m):
 
 
 def test_prime_helpers():
-    assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # a sieve up to 10,000; squares of primes (49, 961, 9409) sit exactly on
+    # the trial-division bound
+    n = 10_000
+    sieve = [False, False] + [True] * (n - 1)
+    for d in range(2, n + 1):
+        if sieve[d]:
+            for k in range(d * d, n + 1, d):
+                sieve[k] = False
+    assert [p for p in range(n + 1) if is_prime(p)] == [p for p in range(n + 1) if sieve[p]]
     assert next_prime(6) == 7
     assert next_prime(7) == 7
     assert next_prime(8) == 11
@@ -178,6 +187,15 @@ class TestFindIrreducible:
         assert find_irreducible(3, 6) == (1, 0, 0, 0, 1, 1, 1)
         assert GF(3, 5, (2, 0, 0, 2, 2, 1)).modulus == (2, 0, 0, 2, 2, 1)
 
+    def test_moduli_match_golden(self):
+        # every prime q <= 29 and 1 <= m <= 14, one "q m c0,...,1" line each
+        lines = (Path(__file__).parent / "golden" / "moduli.txt").read_text().splitlines()
+        assert len(lines) == 140
+        for line in lines:
+            q, m, coeffs = line.split()
+            want = tuple(int(c) for c in coeffs.split(","))
+            assert find_irreducible(int(q), int(m)) == want, line
+
     def test_construction_scale_moduli(self):
         assert find_irreducible(7, 9) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
         assert find_irreducible(5, 9) == (1, 0, 0, 0, 0, 0, 0, 2, 3, 1)
@@ -221,11 +239,30 @@ class TestFindIrreducible:
          (3, 5, 11, 11, 12, 0, 12, 2, 4, 9, 6, 4, 8, 1, 3, 1, 0, 2, 1, 12, 1))])
     def test_reducible_moduli_rejected(self, q, g, h):
         # x^18 + x^17 + x^16 + 1 over Z_5 and x^24 + 4x^23 + x^22 + 1 over Z_13
-        # divide x^(q^m) - x, so only the gcd step can reject them
+        # divide x^(q^m) - x and have no root; Ben-Or's test rejects them in
+        # round 3 and round 4, at their factors of degree 3 and 4
         f = _product(g, h, q)
         assert not is_irreducible(f, q)
         with pytest.raises(FieldError):
             GF(q, len(f) - 1, f)
+
+    def test_large_q_modulus_from_json(self):
+        # x^2 + 1 is irreducible over Z_q for q = 3 mod 4
+        q = 2 ** 31 - 1
+        obj = {"rows": 1, "cols": 1, "q": q, "m": 2, "modulus": [1, 0, 1],
+               "entries": [[[12345, 678]]]}
+        a = Mat.from_json_obj(obj).rows[0][0]
+        assert a * a.inverse() == a.field.one
+
+    def test_large_q_reducible_modulus_rejected(self):
+        # q = 1 mod 4: -1 is a square, so x^2 + 1 has a root
+        with pytest.raises(FieldError):
+            GF(10 ** 9 + 9, 2, (1, 0, 1))
+
+    def test_large_q_search(self):
+        q = 2 ** 31 - 1
+        modulus = find_irreducible(q, 3)
+        assert GF(q, 3, modulus).modulus == modulus
 
     def test_is_minimal_in_lex_order(self):
         q, m = 7, 2

@@ -26,7 +26,7 @@ class TestMul:
     def test_zero_row_vector(self, f7):
         g = mat(f7, [[1, 2], [3, 4]])
         z = zeros(f7, 1, 2)
-        assert (z @ g).is_zero()
+        assert z @ g == zeros(f7, 1, 2)
 
     def test_mixed_fields_need_explicit_embedding(self):
         ext = GF(2, 2)
@@ -164,7 +164,7 @@ class TestRightKernel:
         for _ in range(25):
             t = rand_mat(f7, rng.randint(1, 4), rng.randint(1, 6), rng)
             k = t.right_kernel_basis()
-            assert (t @ k).is_zero()
+            assert t @ k == zeros(f7, t.nrows, k.ncols)
             assert k.ncols == t.ncols - t.rank()
             if k.ncols:
                 assert k.rank() == k.ncols
