@@ -78,11 +78,14 @@ def event_kind(erased: Sequence[int], B: int, N: int) -> Optional[str]:
 
 
 def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
+    """Every W-slot window holds one loss event (event_kind).  Only start 0
+    and the starts e - W + 1, where erasure e enters, are checked: in between
+    a window only loses its earliest erasure, which keeps one event one."""
     if W < 1:
         raise ChannelError("window must be >= 1")
     erased = p.erased
-    # A horizon shorter than the window is one partial window.
-    for start in range(max(p.horizon - W + 1, 1)):
+    # A horizon shorter than the window is one partial window, start 0.
+    for start in (0, *(e - W + 1 for e in erased if e >= W)):
         hits = erased[bisect_left(erased, start):bisect_left(erased, start + W)]
         if event_kind(hits, B, N) is None:
             return False

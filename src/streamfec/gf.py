@@ -20,13 +20,12 @@ are wide enough for DOT_TERMS products, and a longer sum reduces in chunks.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
 modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
 rounds of one power by q and one gcd mod the modulus, so no step of the
-modulus search or check grows with q faster than log q; only is_prime's
-trial division of q itself takes sqrt(q) steps.
+modulus search or check grows with q faster than log q, and neither does
+is_prime's Miller-Rabin test of q itself.
 """
 from __future__ import annotations
 
 import functools
-import math
 from typing import Iterable, Sequence
 
 
@@ -38,8 +37,21 @@ class FieldMismatchError(FieldError):
     """Operands belong to different field specs."""
 
 
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981  # is_prime is exact below it
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Miller-Rabin on the prime bases up to 41, exact below PRIME_LIMIT
+    (Sorenson and Webster); a larger n raises FieldError."""
+    if n >= PRIME_LIMIT:
+        raise FieldError(f"q={n} is too large to test for primality exactly")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    # a prime gives x = b^d = 1, or n - 1 among x, x^2, ..., x^(2^(s-1))
+    return all((x := pow(b, (n - 1) >> s, n)) == 1
+               or any(pow(x, 1 << r, n) == n - 1 for r in range(s)) for b in _MR_BASES)
 
 
 def next_prime(n: int) -> int:

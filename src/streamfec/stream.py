@@ -13,17 +13,22 @@ most N erasures: for (W, T, B, N) = (10, 9, 5, 3), n = 12 and the
 admissible {0, 1, 10, 11} is neither.  Every diagonal is therefore decoded
 by the oracle plan alone, and a symbol counts as recovered only by its
 deadline; on an admissible stream every diagonal meets all of them
-(acceptance criterion 10).
+(acceptance criterion 10).  stream_decode looks up one plan per distinct
+pattern per call.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
 from .construction import GeneratorSet, evaluate_plan
 from .decoder import oracle_plan
+from .gf import FieldElement, _operand_error
+
+_MISS = float("inf")  # the latency of a symbol not recovered by its deadline
 
 
 class StreamError(ValueError):
@@ -120,7 +125,10 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
     ``num_source`` is the number of real source packets; the n - 1 slots
     after them carry the flush.  With ``values=False`` only the recovery
     plan is evaluated (which positions resolve by which time), skipping the
-    per-symbol arithmetic; the latency report is identical.
+    per-symbol arithmetic; the latency report is identical.  Each distinct
+    diagonal erasure pattern is compiled once per call, to the latencies of
+    its source symbols and the steps of its recovered erased ones; a
+    received source symbol is copied, not evaluated.
     """
     dd = g.derived
     n, k = dd.n, dd.k
@@ -131,30 +139,32 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
         if bad is not None:
             raise StreamError(f"packet {bad} has {len(received[bad])} symbols, expected {n}")
 
-    packets = [[None] * k for _ in range(num_source)] if values else None
-    sym_latency = [[None] * k for _ in range(num_source)]
-
-    # Diagonals starting before t = 0 carry virtual zero symbols in their
-    # early systematic positions (cold start); they are treated as received.
+    # bit t + k - 1 is set iff slot t is erased; cold-start slots t < 0 read as received
+    mask = sum(1 << (t + k - 1) for t, p in enumerate(received) if p is ERASED)
+    keys = [(mask >> i) & ((1 << n) - 1) for i in range(num_source + k - 1)]
+    lat_of, steps_of = {}, {}  # per distinct pattern, in order of first sight
+    for key in dict.fromkeys(keys):
+        plan = oracle_plan(g, frozenset(p for p in range(n) if key >> p & 1))
+        met = {j: hit for j, hit in plan.items() if hit[0] <= dd.deadlines[j]}
+        lat_of[key] = [met[j][0] - j if j in met else _MISS for j in range(k)]
+        steps_of[key] = [(j, met[j][1]) for j in met if key >> j & 1]
+    # keys[d + k - 1] is the diagonal starting at d; symbol j of packet t lies on t - j
+    lats = [lat_of[key] for key in keys]
+    worst = map(max, zip(*(map(itemgetter(j), lats[k - 1 - j:len(lats) - j]) for j in range(k))))
+    report = StreamReport(mask.bit_count(), tuple(None if v == _MISS else v for v in worst))
+    if not values:
+        return None, report
     zero = g.field().zero
-    for d in range(-(k - 1), num_source):
-        plan = oracle_plan(g, frozenset(p for p in range(max(0, -d), n)
-                                        if received[d + p] is ERASED))
-        diag = _diagonal(received, d, n, zero) if values else ()
-        for j in range(k):
-            t_src = d + j  # s_{d+j}[j] lives on this diagonal
-            if not (0 <= t_src < num_source):
-                continue
-            hit = plan.get(j)
-            if hit is None or hit[0] > dd.deadlines[j]:
-                continue
-            rt, steps = hit
-            sym_latency[t_src][j] = rt - j
-            if values:
-                packets[t_src][j] = evaluate_plan(steps, diag, zero)
-
-    report = StreamReport(erased_slots=sum(1 for p in received if p is ERASED),
-                          latencies=tuple(None if None in lat else max(lat) for lat in sym_latency))
+    packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
+    bad = [v for p in received[:num_source] if p is not ERASED for v in p[:k]
+           if v.__class__ is not FieldElement or v.field is not zero.field]
+    if bad:  # as Field.dot rejects an operand
+        raise _operand_error(zero.field, bad[0])
+    for d, key in enumerate(keys, 1 - k):
+        diag = _diagonal(received, d, n, zero) if steps_of[key] else None
+        for j, steps in steps_of[key]:
+            if d + j < num_source:
+                packets[d + j][j] = evaluate_plan(steps, diag, zero)
     return packets, report
 
 

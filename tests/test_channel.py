@@ -81,6 +81,24 @@ class TestIsAdmissible:
                         want = reference(combo, horizon, W, B, N)
                         assert is_admissible(p, W, B, N) == want, (combo, horizon, W, B, N)
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_entry_starts_agree_with_every_window(self, data):
+        """Checking start 0 and the starts where an erasure enters a window
+        agrees with checking every window: short horizons, W = 1, no erasures
+        and erasures at slot 0 and at the last slot included."""
+        horizon = data.draw(st.integers(0, 40))
+        W = data.draw(st.integers(1, 12))
+        B = data.draw(st.integers(1, 5))
+        N = data.draw(st.integers(1, B))
+        slots = st.integers(0, max(horizon - 1, 0))
+        erased = data.draw(st.sets(slots, max_size=min(horizon, 8)))
+        edges = data.draw(st.sampled_from([(), (0,), (horizon - 1,), (0, horizon - 1)]))
+        p = ErasurePattern.make(horizon, erased | set(edges) if horizon else ())
+        windows = [[e for e in p.erased if s <= e < s + W] for s in range(max(horizon - W + 1, 1))]
+        every = all(event_kind(hits, B, N) is not None for hits in windows)
+        assert is_admissible(p, W, B, N) == every
+
     @given(st.sets(st.integers(min_value=0, max_value=11), max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_monotone_under_removal(self, idx):

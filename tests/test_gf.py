@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfec.gf import (DOT_TERMS, GF, FieldError, FieldMismatchError,
+from streamfec.gf import (DOT_TERMS, GF, PRIME_LIMIT, FieldError, FieldMismatchError,
                           alpha_power_basis, find_irreducible, frobenius, is_irreducible,
                           is_prime, next_prime)
 from streamfec.matrix import Mat
@@ -35,18 +36,32 @@ def _brute_irreducibles(q, m):
 
 
 def test_prime_helpers():
-    # a sieve up to 10,000; squares of primes (49, 961, 9409) sit exactly on
-    # the trial-division bound
-    n = 10_000
+    # a sieve up to 20,000
+    n = 20_000
     sieve = [False, False] + [True] * (n - 1)
     for d in range(2, n + 1):
         if sieve[d]:
             for k in range(d * d, n + 1, d):
                 sieve[k] = False
     assert [p for p in range(n + 1) if is_prime(p)] == [p for p in range(n + 1) if sieve[p]]
+    # strong pseudoprimes to the bases 2..7 and 2..23: Miller-Rabin needs its later bases
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert is_prime(10 ** 12 + 39) and is_prime(2 ** 61 - 1)
     assert next_prime(6) == 7
     assert next_prime(7) == 7
     assert next_prime(8) == 11
+
+
+def test_large_prime_field_builds_at_once():
+    start = time.perf_counter()
+    assert GF(2 ** 61 - 1).q == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(FieldError, match="not prime"):
+        GF(2 ** 61 + 1)
+    # beyond the exact range of the test, q is refused rather than guessed
+    with pytest.raises(FieldError, match="too large"):
+        GF(PRIME_LIMIT + 2)
 
 
 class TestBaseField:

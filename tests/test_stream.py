@@ -1,21 +1,53 @@
 import dataclasses
+import functools
 import random
 from pathlib import Path
 
 import pytest
 
 from streamfec.channel import ERASED, ErasurePattern, apply
-from streamfec.stream import (StreamEncoder, StreamError, delay_check, encode_stream,
-                              format_trace, parse_trace, simulate, stream_decode)
-from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
+from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_check,
+                              encode_stream, format_trace, parse_trace, simulate, stream_decode)
+from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
+                                    validate_and_derive)
 from streamfec import decoder
-from streamfec.gf import FieldError
+from streamfec.gf import GF, FieldError, FieldMismatchError
+
+from conftest import GATE_CODES
 
 
 def random_packets(g, count, seed):
     rng = random.Random(seed)
     ext = g.field()
     return [[ext.random_element(rng) for _ in range(g.derived.k)] for _ in range(count)]
+
+
+@functools.lru_cache(maxsize=None)
+def code(params):
+    return build_code(validate_and_derive(StreamParams(*params)))
+
+
+def reference_decode(received, g, num_source, values=True):
+    """stream_decode by its definition: for every diagonal, its erased
+    positions as a frozenset, their oracle plan, and evaluate_plan for every
+    source symbol the plan recovers by its deadline."""
+    dd, zero = g.derived, g.field().zero
+    n, k = dd.n, dd.k
+    packets = [[None] * k for _ in range(num_source)] if values else None
+    latency = [[None] * k for _ in range(num_source)]
+    for d in range(-(k - 1), num_source):
+        plan = decoder.oracle_plan(g, frozenset(p for p in range(max(0, -d), n)
+                                                if received[d + p] is ERASED))
+        diag = [zero if t < 0 else ERASED if received[t] is ERASED else received[t][p]
+                for p, t in enumerate(range(d, d + n))] if values else ()
+        for j, (rt, steps) in plan.items():
+            if 0 <= d + j < num_source and rt <= dd.deadlines[j]:
+                latency[d + j][j] = rt - j
+                if values:
+                    packets[d + j][j] = evaluate_plan(steps, diag, zero)
+    report = StreamReport(sum(p is ERASED for p in received),
+                          tuple(None if None in lat else max(lat) for lat in latency))
+    return packets, report
 
 
 class TestEncoder:
@@ -114,6 +146,39 @@ class TestDecode:
         _, rep_plan = stream_decode(masked, ex2, num_source=len(src), values=False)
         assert rep_plan.latencies == rep_vals.latencies
         assert rep_plan.failures == rep_vals.failures
+
+    @pytest.mark.parametrize("params", GATE_CODES)
+    def test_matches_reference_decoder(self, params):
+        """Packets and report equal the per-diagonal reference exactly, in
+        both modes, from loss-free to heavily inadmissible streams."""
+        g = code(params)
+        for seed in range(12):
+            rate = (0, 0.05, 0.1, 0.2, 0.3, 0.5)[seed % 6]
+            rng = random.Random(seed)
+            for length in (0, rng.randint(1, 12), rng.randint(20, 40)):
+                sent = encode_stream(random_packets(g, length, seed), g)
+                pat = ErasurePattern.make(len(sent), [t for t in range(len(sent))
+                                                      if rng.random() < rate])
+                got = apply(sent, pat)
+                assert stream_decode(got, g, length) == reference_decode(got, g, length)
+                masked = [ERASED if p is ERASED else () for p in got]
+                assert (stream_decode(masked, g, length, values=False)
+                        == reference_decode(masked, g, length, values=False))
+
+    def test_clean_stream_reduces_nothing(self, ex1, reduce_calls):
+        sent = encode_stream(random_packets(ex1, 12, 13), ex1)
+        reduce_calls.clear()
+        decoded, _ = stream_decode(sent, ex1, num_source=12)
+        assert decoded == [p[:ex1.derived.k] for p in sent[:12]]
+        assert reduce_calls == []
+
+    @pytest.mark.parametrize("symbol, error", [(3, TypeError),
+                                               (GF(5, 9).one, FieldMismatchError)])
+    def test_received_source_symbol_checked(self, ex1, symbol, error):
+        sent = encode_stream(random_packets(ex1, 5, 14), ex1)
+        sent[2] = [*sent[2][:4], symbol, *sent[2][5:]]
+        with pytest.raises(error):
+            stream_decode(sent, ex1, num_source=5)
 
     def test_short_packet_rejected(self, ex1):
         sent = encode_stream(random_packets(ex1, 5, 12), ex1)
