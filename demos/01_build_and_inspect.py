@@ -5,7 +5,7 @@ at most B packets or up to N packets at arbitrary positions, and a decoding
 deadline of T packets, the library derives a systematic (n, k) block code
 whose rate k/n meets the channel capacity exactly.
 """
-from streamfec import StreamParams, build_code, capacity, validate_and_derive
+from streamfec import StreamParams, build_code, capacity, constituents, validate_and_derive
 
 params = StreamParams(W=10, T=9, B=5, N=3)
 derived = validate_and_derive(params)
@@ -26,6 +26,7 @@ for i in range(derived.k):
             else "dense rank-metric band")
     print(f"  row {i}: {row}   {kind}")
 
+mds, mrd = constituents(derived)
 print("\nconstituents:")
-print(f"  ({g.mds.n}, {g.mds.k}) Cauchy MDS code over GF({derived.q})")
-print(f"  ({g.mrd.n}, {g.mrd.k}) Gabidulin MRD code over GF({derived.q}^{derived.m})")
+print(f"  ({mds.n}, {mds.k}) Cauchy MDS code over GF({derived.q})")
+print(f"  ({mrd.n}, {mrd.k}) Gabidulin MRD code over GF({derived.q}^{derived.m})")

@@ -97,12 +97,12 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
 @dataclass(frozen=True)
 class GeneratorSet:
     """A code is its parity matrix P: G and the encoder plan are views of it,
-    and each instance (``replace`` too) starts with no cached oracle plans."""
+    and each instance (``replace`` too) starts with no cached oracle plans.
+    The constituent codes P was assembled from are not held; ``constituents``
+    rebuilds them from ``derived``."""
 
     derived: DerivedParams
     P: Mat
-    mds: MdsCode
-    mrd: MrdCode
     _plan_cache: dict = dc_field(init=False, default_factory=dict, compare=False, repr=False)
 
     def field(self) -> Field:
@@ -121,19 +121,29 @@ class GeneratorSet:
 
     def to_json_obj(self) -> dict:
         d = self.derived
+        mds, mrd = constituents(d)
         return {
             "params": {"W": d.W, "T": d.T, "B": d.B, "N": d.N},
             "derived": {**d.to_json_obj(), "modulus": list(self.field().modulus)},
             "G": self.G.to_json_obj(),
-            "constituents": {
-                "mds": self.mds.to_json_obj(),
-                "mrd": self.mrd.to_json_obj(),
-            },
+            "constituents": {"mds": mds.to_json_obj(), "mrd": mrd.to_json_obj()},
         }
 
 
+def constituents(d: DerivedParams) -> tuple[MdsCode, MrdCode]:
+    """The (2N, N) Cauchy MDS code over GF(q) and the (k + delta, k - B +
+    delta) Gabidulin code over GF(q^m) that build_code assembles P from.
+
+    Built afresh on every call: a cached pair would outlive a cleared field
+    cache and hold elements of a field that is no longer interned.
+    """
+    return (build_mds(d.N, GF(d.q)),
+            build_gabidulin(d.k + d.delta, d.k - d.B + d.delta, GF(d.q, d.m)))
+
+
 def build_code(d: DerivedParams) -> GeneratorSet:
-    """Assemble G = [I_k | P] from the Cauchy and Gabidulin constituents.
+    """Assemble P from the Cauchy and Gabidulin constituents; the code is
+    ``GeneratorSet(d, P)`` and G = [I_k | P] is derived from it.
 
     Parity layout (k rows, B columns):
       rows [0, delta)          : the top delta rows of the Gabidulin parity
@@ -147,10 +157,7 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     """
     k, B, N, M, delta = d.k, d.B, d.N, d.M, d.delta
     ext = GF(d.q, d.m)
-
-    mds = build_mds(N, GF(d.q))
-    mrd = build_gabidulin(k + delta, k - B + delta, ext)
-
+    mds, mrd = constituents(d)
     gab_parity = mrd.parity()  # (k - B + delta) x B
     cauchy = mds.gen.select_columns(list(range(N, 2 * N))).embed_into(ext)
 
@@ -165,7 +172,7 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     for i in range(k - B):
         rows[B + i] = list(gab_parity.rows[delta + i])
 
-    return GeneratorSet(derived=d, P=Mat(ext, rows), mds=mds, mrd=mrd)
+    return GeneratorSet(derived=d, P=Mat(ext, rows))
 
 
 def evaluate_plan(steps, x, zero):

@@ -21,7 +21,8 @@ Inversion runs the extended Euclidean algorithm over Z_q[x] against the
 modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
 rounds of one power by q and one gcd mod the modulus, so no step of the
 modulus search or check grows with q faster than log q, and neither does
-is_prime's Miller-Rabin test of q itself.
+is_prime's Miller-Rabin test of q itself.  GF refuses m above M_LIMIT, so
+the check's growth with m is bounded too.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ class FieldMismatchError(FieldError):
 
 
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981  # is_prime is exact below it
+# the largest extension degree GF accepts: the modulus check grows about as
+# m^3 log q and at m = M_LIMIT takes under 1 s even with q near PRIME_LIMIT
+M_LIMIT = 24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -336,12 +340,6 @@ class Field:
             raise FieldError(f"coefficients must be int residues in [0, {self.q}), got {coeffs}")
         return FieldElement(self, self._pack(coeffs))
 
-    def from_text(self, text: str) -> FieldElement:
-        tokens = text.split(",")
-        if not all(t.isascii() and t.isdigit() for t in tokens):
-            raise FieldError(f"expected comma-separated decimal integers, got {text!r}")
-        return self(tuple(int(t) for t in tokens))
-
     def embed(self, a: FieldElement) -> FieldElement:
         """Embed a prime-subfield element into this field."""
         if a.field is self:
@@ -415,6 +413,8 @@ def GF(q: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
     # int only, bool excluded, checked first: the caches key 11.0 and True as 11 and 1
     if type(q) is not int or type(m) is not int:
         raise FieldError(f"q and m must be ints, got q={q!r}, m={m!r}")
+    if m > M_LIMIT:
+        raise FieldError(f"extension degree m={m} exceeds M_LIMIT={M_LIMIT}")
     modulus = find_irreducible(q, m) if modulus is None else tuple(modulus)
     if any(type(c) is not int for c in modulus):
         raise FieldError(f"modulus coefficients must be ints, got {modulus}")

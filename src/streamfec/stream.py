@@ -198,37 +198,3 @@ def simulate(g: GeneratorSet, length: int, seed: int,
             if lat is not None and decoded[t] != src[t]:
                 raise StreamError(f"value mismatch at packet {t}")
     return report, pat
-
-
-# ---------------------------------------------------------------------------
-# Text trace format: one line per slot, "t: sym sym ...", erased slots
-# rendered as "t: ERASED".  Symbols use the field element wire form.
-# ---------------------------------------------------------------------------
-
-def format_trace(stream: Sequence) -> str:
-    lines = []
-    for t, p in enumerate(stream):
-        if p is ERASED:
-            lines.append(f"{t}: ERASED")
-        else:
-            lines.append(f"{t}: " + " ".join(v.to_text() for v in p))
-    return "\n".join(lines) + "\n"
-
-
-def parse_trace(text: str, field, n: int) -> list:
-    """Inverse of format_trace for a code of length n: line t must be
-    labelled t and carry n symbols or ERASED, else StreamError."""
-    out = []
-    for t, line in enumerate(text.strip().splitlines()):
-        head, _, body = line.partition(":")
-        if head.strip() != str(t):
-            raise StreamError(f"line {t} is labelled slot {head.strip()!r}")
-        body = body.strip()
-        if body == "ERASED":
-            out.append(ERASED)
-            continue
-        packet = [field.from_text(tok) for tok in body.split()]
-        if len(packet) != n:
-            raise StreamError(f"packet {t} has {len(packet)} symbols, expected {n}")
-        out.append(packet)
-    return out

@@ -16,7 +16,7 @@ from streamfec.channel import (ErasurePattern, apply, enumerate_block_patterns, 
                                sample_stream_pattern)
 from streamfec.codes import build_gabidulin, build_mds, subcode_columns, verify_mds, verify_mrd
 from streamfec.construction import (ParamError, StreamParams, build_code, capacity,
-                                    encode_block, validate_and_derive)
+                                    constituents, encode_block, validate_and_derive)
 from streamfec.decoder import (StructuralFailureError, classify_pattern, deadline_table,
                                decode_structured, oracle_decode, oracle_plan)
 from streamfec.gf import GF, is_prime, next_prime
@@ -173,12 +173,13 @@ def test_criterion_7_constituent_codes(capsys, ex1, ex2):
     for N in range(1, 5):
         if not verify_mds(build_mds(N, GF(next_prime(2 * N)))):
             ok = False
-    for g in (ex1, ex2):
-        if not verify_mrd(g.mrd, trials=100, seed=0):
+    mrds = [constituents(g.derived)[1] for g in (ex1, ex2)]
+    for mrd in mrds:
+        if not verify_mrd(mrd, trials=100, seed=0):
             ok = False
     rng = random.Random(1)
     for trial in range(20):
-        base = (ex1 if trial % 2 == 0 else ex2).mrd
+        base = mrds[trial % 2]
         size = rng.randint(base.k + 1, base.n)
         idx = sorted(rng.sample(range(base.n), size))
         if not verify_mrd(subcode_columns(base, idx), trials=100, seed=trial):

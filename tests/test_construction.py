@@ -8,7 +8,7 @@ import pytest
 from streamfec.gf import GF
 from streamfec.matrix import Mat
 from streamfec.construction import (GeneratorSet, ParamError, StreamParams, build_code,
-                                    capacity, encode_block, validate_and_derive)
+                                    capacity, constituents, encode_block, validate_and_derive)
 from streamfec.decoder import oracle_plan
 from streamfec.stream import encode_stream
 
@@ -103,7 +103,7 @@ class TestBuildCode:
 
     def test_blocks_all_equal_mds_parity(self, ex2):
         ext = ex2.field()
-        cauchy = ex2.mds.gen.select_columns([2, 3]).embed_into(ext)
+        cauchy = constituents(ex2.derived)[0].gen.select_columns([2, 3]).embed_into(ext)
         assert ex2.derived.M == 2
         # each of the M diagonal blocks of P is the embedded Cauchy parity
         for off in (0, 2):
@@ -112,7 +112,7 @@ class TestBuildCode:
 
     def test_outer_band_wiring(self, ex1):
         d = ex1.derived
-        gab_parity = ex1.mrd.parity()
+        gab_parity = constituents(d)[1].parity()
         # top delta rows of P restricted to the first N columns
         for i in range(d.delta):
             for c in range(d.N):
@@ -125,11 +125,12 @@ class TestBuildCode:
     def test_single_block_degenerate(self):
         d = validate_and_derive(StreamParams(6, 5, 3, 3))
         g = build_code(d)
+        mds, mrd = constituents(d)
         assert d.delta == 0 and d.k == d.B == 3
         # neither outer band has rows: the Gabidulin parity is empty
-        assert g.mrd.parity().nrows == 0
+        assert mrd.parity().nrows == 0
         ext = g.field()
-        cauchy = g.mds.gen.select_columns([3, 4, 5]).embed_into(ext)
+        cauchy = mds.gen.select_columns([3, 4, 5]).embed_into(ext)
         assert g.P == cauchy
 
     def test_rate_matches_capacity(self, ex1, ex2):
@@ -173,7 +174,7 @@ class TestEncodeBlock:
 class TestCodeIsItsParity:
     def test_only_the_parity_is_stored(self, ex1):
         inits = {f.name for f in dataclasses.fields(GeneratorSet) if f.init}
-        assert inits == {"derived", "P", "mds", "mrd"}
+        assert inits == {"derived", "P"}
         with pytest.raises(ValueError):
             dataclasses.replace(ex1, _plan_cache={})
 
@@ -206,15 +207,34 @@ def test_bundle_json_round_trips(ex1):
     assert Mat.from_json_obj(back["G"]) == ex1.G
 
 
+def small_scan():
+    """The derived parameters of every code with W = T + 1, T <= 12, in regime."""
+    return [validate_and_derive(StreamParams(T + 1, T, B, N))
+            for T in range(1, 13) for B in range(1, T + 1) for N in range(1, B + 1)
+            if T - N + 1 >= B]
+
+
 def test_rate_optimal_across_small_scan():
-    checked = 0
-    for T in range(1, 13):
-        for B in range(1, T + 1):
-            for N in range(1, B + 1):
-                k = T - N + 1
-                if k < B:
-                    continue
-                d = validate_and_derive(StreamParams(T + 1, T, B, N))
-                assert Fraction(d.k, d.n) == capacity(T, B, N)
-                checked += 1
-    assert checked > 100
+    scan = small_scan()
+    for d in scan:
+        assert Fraction(d.k, d.n) == capacity(d.T, d.B, d.N)
+    assert len(scan) > 100
+
+
+def test_band_wiring_across_small_scan():
+    # P, row by row, is exactly the three bands built from constituents(d)
+    for d in small_scan():
+        k, B, N, delta = d.k, d.B, d.N, d.delta
+        g = build_code(d)
+        mds, mrd = constituents(d)
+        ext, zero = g.field(), g.field().zero
+        gab = mrd.parity()
+        cauchy = mds.gen.select_columns(list(range(N, 2 * N))).embed_into(ext)
+        for i in range(delta):
+            assert g.P.rows[i] == gab.rows[i][:N] + [zero] * (B - N)
+        for i in range(delta, B):
+            off = delta + (i - delta) // N * N
+            want = [zero] * off + cauchy.rows[i - off] + [zero] * (B - off - N)
+            assert g.P.rows[i] == want
+        for i in range(B, k):
+            assert g.P.rows[i] == gab.rows[delta + i - B]

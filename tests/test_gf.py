@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfec.gf import (DOT_TERMS, GF, PRIME_LIMIT, FieldError, FieldMismatchError,
+from streamfec import gf
+from streamfec.gf import (DOT_TERMS, GF, M_LIMIT, PRIME_LIMIT, FieldError, FieldMismatchError,
                           alpha_power_basis, find_irreducible, frobenius, is_irreducible,
                           is_prime, next_prime)
 from streamfec.matrix import Mat
@@ -62,6 +63,16 @@ def test_large_prime_field_builds_at_once():
     # beyond the exact range of the test, q is refused rather than guessed
     with pytest.raises(FieldError, match="too large"):
         GF(PRIME_LIMIT + 2)
+
+
+def test_extension_degree_above_the_limit_refused_at_once(monkeypatch):
+    assert GF(2, M_LIMIT).m == M_LIMIT
+    # refused before any modulus search or check starts
+    monkeypatch.setattr(gf, "is_irreducible", None)
+    monkeypatch.setattr(gf, "find_irreducible", None)
+    for modulus in (None, (1,) + (0,) * M_LIMIT + (1,)):
+        with pytest.raises(FieldError, match="M_LIMIT"):
+            GF(2, M_LIMIT + 1, modulus)
 
 
 class TestBaseField:
@@ -139,19 +150,14 @@ class TestExtensionField:
             f(GF(5)(3))
         assert f(f.alpha) is f.alpha
 
-    def test_text_round_trip(self):
-        f = GF(7, 3)
-        x = f((6, 0, 4))
-        assert x.to_text() == "6,0,4"
-        assert f.from_text(x.to_text()) == x
-
     def test_out_of_range_coefficients_rejected(self):
         f = GF(7, 9)
-        for text in ("9,0,0,0,0,0,0,0,0", "7,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,-1",
-                     "a,0,0,0,0,0,0,0,0", "1,,0,0,0,0,0,0,0", "0_1,0,0,0,0,0,0,0,0"):
+        zeros = (0,) * 8
+        for coeffs in ((9,) + zeros, (7,) + zeros, zeros + (-1,), ("1",) + zeros,
+                       (1.0,) + zeros, (True,) + zeros, zeros, zeros + (0, 0)):
             with pytest.raises(FieldError):
-                f.from_text(text)
-        assert f.from_text("6,0,0,0,0,0,0,0,0") == f(6)
+                f(coeffs)
+        assert f((6,) + zeros) == f(6)
         assert GF(7)(9) == GF(7)(2)  # integers keep their modular meaning
 
 
@@ -528,7 +534,6 @@ class TestPackedArithmetic:
             a = f(c)
             assert a.coeffs == c
             assert a.to_text() == ",".join(map(str, c))
-            assert f.from_text(a.to_text()) == a
             assert a.is_base() == (not any(c[1:]))
 
     def test_text_and_json_forms_unchanged(self):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from streamfec.gf import GF, FieldError, FieldMismatchError
+from streamfec import gf
+from streamfec.gf import GF, M_LIMIT, FieldError, FieldMismatchError
 from streamfec.matrix import (LinalgError, Mat, NoSolution, Underdetermined,
                               cauchy_parity)
 
@@ -321,6 +322,13 @@ class TestJson:
             Mat.from_json_obj(obj)
         assert GF(113).q == 113
         with pytest.raises(FieldError):
+            Mat.from_json_obj(obj)
+
+    def test_extension_degree_above_the_limit_refused_at_once(self, monkeypatch):
+        obj = {"rows": 0, "cols": 0, "q": 2, "m": M_LIMIT + 1,
+               "modulus": [1] + [0] * M_LIMIT + [1], "entries": []}
+        monkeypatch.setattr(gf, "is_irreducible", None)  # never reached
+        with pytest.raises(FieldError, match="M_LIMIT"):
             Mat.from_json_obj(obj)
 
     @pytest.mark.parametrize("m, key, value", [(2, "m", 2.0), (1, "m", True),

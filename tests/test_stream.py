@@ -7,11 +7,11 @@ import pytest
 
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_check,
-                              encode_stream, format_trace, parse_trace, simulate, stream_decode)
+                              encode_stream, simulate, stream_decode)
 from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
                                     validate_and_derive)
 from streamfec import decoder
-from streamfec.gf import GF, FieldError, FieldMismatchError
+from streamfec.gf import GF, FieldMismatchError
 
 from conftest import GATE_CODES
 
@@ -250,46 +250,6 @@ class TestReport:
         rep, _ = simulate(ex1, 40, seed=2)
         assert delay_check(rep, ex1.derived.T_eff)
         assert not delay_check(rep, rep.max_latency - 1)
-
-
-class TestTrace:
-    def test_out_of_range_coefficient_rejected(self, ex1):
-        with pytest.raises(FieldError):
-            parse_trace("0: 9,0,0,0,0,0,0,0,0\n", ex1.field(), ex1.derived.n)
-
-    def test_non_integer_coefficient_rejected(self, ex1):
-        with pytest.raises(FieldError):
-            parse_trace("0: x\n", ex1.field(), ex1.derived.n)
-
-    def test_wrong_width_rejected(self, ex1):
-        one, two = "0,0,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,0,1 0,0,0,0,0,0,0,0,2"
-        with pytest.raises(StreamError, match="packet 0 has 1 symbols"):
-            parse_trace(f"0: {one}\n1: ERASED\n2: {two}\n", ex1.field(), ex1.derived.n)
-
-    def test_slot_label_must_match_line(self, ex1):
-        sent = encode_stream(random_packets(ex1, 3, 11), ex1)[:3]
-        text = format_trace(sent).replace("1: ", "7: ", 1)
-        with pytest.raises(StreamError, match="line 1 is labelled slot '7'"):
-            parse_trace(text, ex1.field(), ex1.derived.n)
-
-    def test_round_trip(self, ex1):
-        src = random_packets(ex1, 6, 9)
-        sent = encode_stream(src, ex1)
-        pat = ErasurePattern.make(len(sent), [2, 3])
-        got = apply(sent, pat)
-        text = format_trace(got)
-        assert "2: ERASED" in text.splitlines()[2]
-        back = parse_trace(text, ex1.field(), ex1.derived.n)
-        assert back == got
-
-    def test_formats_each_slot_on_own_line(self, ex1):
-        src = random_packets(ex1, 3, 10)
-        sent = encode_stream(src, ex1)[:len(src)]
-        text = format_trace(sent)
-        lines = text.strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("0: ")
-        assert len(lines[1].split(": ", 1)[1].split()) == ex1.derived.n
 
 
 def test_oracle_plan_cache_stays_under_its_cap(ex1, monkeypatch):
