@@ -35,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf import FieldElement
+from .gf import FieldElement, _operand_error
 from .matrix import Mat, NoSolution, Underdetermined
 from .channel import ERASED, ErasurePattern, event_kind
-from .construction import DerivedParams, GeneratorSet, evaluate_plan
+from .construction import DerivedParams, GeneratorSet, evaluate_plans
 
 
 # Most oracle plans one generator set caches.  Every admissible diagonal
@@ -100,9 +100,12 @@ def _report(g: GeneratorSet, times: dict, vals: dict) -> DecodeReport:
 # ---------------------------------------------------------------------------
 
 def _erased_positions(g: GeneratorSet, y) -> frozenset[int]:
-    """The erased positions of one received block of n symbols."""
+    """The erased positions of one received block of n field elements."""
     if len(y) != g.derived.n:
         raise DecoderError(f"expected {g.derived.n} received symbols, got {len(y)}")
+    for v in y:
+        if v is not ERASED and (v.__class__ is not FieldElement or v.field is not g.P.field):
+            raise _operand_error(g.P.field, v)
     return frozenset(t for t, v in enumerate(y) if v is ERASED)
 
 
@@ -159,8 +162,8 @@ def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
     plan = oracle_plan(g, _erased_positions(g, y))
     zero = g.field().zero
     times = {i: t for i, (t, _) in plan.items()}
-    vals = {i: evaluate_plan(steps, y, zero) for i, (t, steps) in plan.items()
-            if t <= d.deadlines[i]}
+    met = {i: steps for i, (t, steps) in plan.items() if t <= d.deadlines[i]}
+    vals = dict(zip(met, evaluate_plans(met.values(), y, zero)))
     return _report(g, times, vals)
 
 

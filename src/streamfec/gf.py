@@ -17,6 +17,7 @@ operands followed by one reduction, which folds each slot of degree >= m
 back through alpha^d mod the modulus and takes every slot mod q.
 ``Field.dot`` sums many raw products before that single reduction: slots
 are wide enough for DOT_TERMS products, and a longer sum reduces in chunks.
+Several such sums reduce together, as blocks of one integer (_reduce_all).
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
 modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
 rounds of one power by q and one gcd mod the modulus, so no step of the
@@ -320,6 +321,9 @@ class Field:
         self._top = self._pack([1 << (s - 1)] * m)
         # alpha^d mod modulus for d in [m, 2m-2], packed
         self._red = [self._pack(_poly_mod([0] * d + [1], modulus, q)) for d in range(m, 2 * m - 1)]
+        K = s + q.bit_length()  # _mod_slots: floor(x / q) = floor(x c / 2^K), x < 2^s
+        self._div = (-(-(1 << K) // q), K)
+        self._batch: dict[int, tuple] = {}  # _reduce_all's masks per block count, lazily
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.alpha = FieldElement(self, 1 << s) if m >= 2 else self.one
@@ -379,6 +383,41 @@ class Field:
         for sh in self._shifts:
             out = (out << s) | ((lo >> sh) & mask) % q
         return out
+
+    def _reduce_all(self, sums: Sequence[int]) -> list[int]:
+        """``[self._reduce(v) for v in sums]``, with sum b at bit b (2m - 1) s of
+        one integer so that each step acts on every block.  One block, or m = 1
+        with nothing to fold, reduces faster alone."""
+        if len(sums) < 2 or self.m == 1:
+            return [self._reduce(v) for v in sums]
+        lo_groups, hi_groups, slot0, low, w = self._batch.get(len(sums)) or self._masks(len(sums))
+        a = 0
+        for v in reversed(sums):
+            a = (a << w) | v
+        h = self._mod_slots(a, hi_groups)
+        lo = a & low
+        for d, r in enumerate(self._red, self.m):
+            lo += ((h >> (d * self._slot)) & slot0) * r
+        lo = self._mod_slots(lo, lo_groups)
+        return [(lo >> (b * w)) & self._low for b in range(len(sums))]
+
+    def _mod_slots(self, v: int, groups: tuple) -> int:
+        """Each slot x < 2^s of the groups mod q, as x - q floor(x c / 2^K): a
+        group holds every third slot, so each product keeps to its 3s bits."""
+        c, K = self._div
+        g0, g1, g2 = groups
+        return v - self.q * ((((v & g0) * c >> K) & g0) + (((v & g1) * c >> K) & g1)
+                             + (((v & g2) * c >> K) & g2))
+
+    def _masks(self, count: int) -> tuple:
+        """_reduce_all's masks and block width for count blocks, made once."""
+        s, slots = self._slot, 2 * self.m - 1
+        groups = [[0, 0, 0], [0, 0, 0]]  # [low or high slot][slot index mod 3]
+        for i in range(count * slots):
+            groups[i % slots >= self.m][i % 3] |= self._mask << (i * s)
+        ones = sum(1 << (b * slots * s) for b in range(count))
+        self._batch[count] = (*map(tuple, groups), ones * self._mask, ones * self._low, slots * s)
+        return self._batch[count]
 
     def dot(self, pairs: Iterable[tuple[FieldElement, FieldElement]]) -> FieldElement:
         """Sum of a * b over the pairs, with one reduction per DOT_TERMS

@@ -4,27 +4,27 @@ Channel packet row j at time t carries codeword symbol j of the block
 codeword whose diagonal starts at t - j: the diagonal starting at d encodes
 the source symbols (s_d[0], s_{d+1}[1], ..., s_{d+k-1}[k-1]).  Systematic
 rows therefore carry s_t[j] verbatim; parity rows mix the previous n - 1
-source packets, giving an (n, k, n-1) convolutional code.  A diagonal is
-read straight from the packet list, as a plain list of symbols
-(``_diagonal``), and so is its erasure pattern: position p of the diagonal
-starting at d is erased iff slot d + p is.  A diagonal spans n slots, more
-than the window W when B > N, so its pattern need not be one burst or at
-most N erasures: for (W, T, B, N) = (10, 9, 5, 3), n = 12 and the
-admissible {0, 1, 10, 11} is neither.  Every diagonal is therefore decoded
-by the oracle plan alone, and a symbol counts as recovered only by its
-deadline; on an admissible stream every diagonal meets all of them
-(acceptance criterion 10).  stream_decode looks up one plan per distinct
-pattern per call.
+source packets, giving an (n, k, n-1) convolutional code; the encoder
+keeps them as one flat window, and a packet's parities are one plan set:
+one reduction per plan set.  A diagonal is read straight from the packet
+list, and so is its erasure pattern: position p of the diagonal starting
+at d is erased iff slot d + p is.  A diagonal spans n slots, more than
+the window W when B > N, so its pattern need not be one burst or at most
+N erasures: for (W, T, B, N) = (10, 9, 5, 3), n = 12 and the admissible
+{0, 1, 10, 11} is neither.  Every diagonal is therefore decoded by the
+oracle plan alone, and a symbol counts as recovered only by its deadline;
+on an admissible stream every diagonal meets all of them (acceptance
+criterion 10).  stream_decode looks up one plan per distinct pattern per
+call, and evaluates the symbols a diagonal recovers as one plan set.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
-from .construction import GeneratorSet, evaluate_plan
+from .construction import GeneratorSet, evaluate_plans
 from .decoder import oracle_plan
 from .gf import FieldElement, _operand_error
 
@@ -35,39 +35,22 @@ class StreamError(ValueError):
     pass
 
 
-def _diagonal(packets: Sequence, start: int, length: int, zero) -> list:
-    """Positions [0, length) of the diagonal starting at slot ``start``:
-    position p is symbol p of packet start + p, or ERASED if that packet is.
-    A slot before 0 holds the virtual zero (cold start)."""
-    return [zero if t < 0 else ERASED if packets[t] is ERASED else packets[t][p]
-            for p, t in enumerate(range(start, start + length))]
-
-
 class StreamEncoder:
-    """Stateful convolutional encoder with n - 1 packets of memory."""
+    """Convolutional encoder whose memory is a flat window of (n - 1) k symbols."""
 
     def __init__(self, g: GeneratorSet):
         self.g = g
-        d = g.derived
-        zero_packet = [g.field().zero] * d.k
-        # history[0] is the packet at time t - (n-1), history[-1] at t - 1
-        self.history: deque = deque([zero_packet] * (d.n - 1), maxlen=d.n - 1)
+        self.window = [g.field().zero] * ((g.derived.n - 1) * g.derived.k)
 
     def push(self, symbols: Sequence) -> list:
-        """Encode the source packet of the next slot."""
-        d = self.g.derived
-        if len(symbols) != d.k:
-            raise StreamError(f"expected {d.k} source symbols, got {len(symbols)}")
+        """Encode the next slot's packet; its parities are one plan set over the window."""
+        k = self.g.derived.k
+        if len(symbols) != k:
+            raise StreamError(f"expected {k} source symbols, got {len(symbols)}")
         ext = self.g.field()
         s_now = [ext(v) for v in symbols]
-        out = list(s_now)
-        # row j >= k is parity j of the diagonal starting at t - j; its k source
-        # symbols precede t, from index n - 1 - j of the packets for t-(n-1) .. t-1
-        past = list(self.history)
-        for col, steps in enumerate(self.g.encoder_plan):
-            diag = _diagonal(past, d.n - 1 - (d.k + col), d.k, ext.zero)
-            out.append(evaluate_plan(steps, diag, ext.zero))
-        self.history.append(s_now)
+        out = s_now + evaluate_plans(self.g.window_plan, self.window, ext.zero)
+        self.window = self.window[k:] + s_now
         return out
 
 
@@ -147,7 +130,7 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
         plan = oracle_plan(g, frozenset(p for p in range(n) if key >> p & 1))
         met = {j: hit for j, hit in plan.items() if hit[0] <= dd.deadlines[j]}
         lat_of[key] = [met[j][0] - j if j in met else _MISS for j in range(k)]
-        steps_of[key] = [(j, met[j][1]) for j in met if key >> j & 1]
+        steps_of[key] = {j: met[j][1] for j in met if key >> j & 1}
     # keys[d + k - 1] is the diagonal starting at d; symbol j of packet t lies on t - j
     lats = [lat_of[key] for key in keys]
     worst = map(max, zip(*(map(itemgetter(j), lats[k - 1 - j:len(lats) - j]) for j in range(k))))
@@ -155,16 +138,18 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
     if not values:
         return None, report
     zero = g.field().zero
-    packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
-    bad = [v for p in received[:num_source] if p is not ERASED for v in p[:k]
+    bad = [v for p in received if p is not ERASED for v in p
            if v.__class__ is not FieldElement or v.field is not zero.field]
-    if bad:  # as Field.dot rejects an operand
+    if bad:  # as Field.dot rejects an operand, read by a plan or not
         raise _operand_error(zero.field, bad[0])
+    packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
     for d, key in enumerate(keys, 1 - k):
-        diag = _diagonal(received, d, n, zero) if steps_of[key] else None
-        for j, steps in steps_of[key]:
-            if d + j < num_source:
-                packets[d + j][j] = evaluate_plan(steps, diag, zero)
+        if steps_of[key]:
+            rec = {j: steps for j, steps in steps_of[key].items() if d + j < num_source}
+            diag = [zero if t < 0 else ERASED if received[t] is ERASED else received[t][p]
+                    for p, t in enumerate(range(d, d + n))]
+            for j, v in zip(rec, evaluate_plans(rec.values(), diag, zero)):
+                packets[d + j][j] = v
     return packets, report
 
 

@@ -60,13 +60,26 @@ def mutated(g, i, c, delta=None):
 
 @pytest.fixture
 def reduce_calls(monkeypatch):
-    """A list that gains one entry per Field._reduce call during the test."""
-    calls = []
-    generic = Field._reduce
+    """A list that gains one entry per reduction during the test: a
+    Field._reduce call, or a Field._reduce_all call of one or more sums,
+    whose own _reduce calls count as part of it."""
+    calls, inside = [], []
+    reduce, reduce_all = Field._reduce, Field._reduce_all
 
     def counting(self, v):
-        calls.append(1)
-        return generic(self, v)
+        if not inside:
+            calls.append(1)
+        return reduce(self, v)
+
+    def counting_all(self, sums):
+        if sums:
+            calls.append(1)
+        inside.append(1)
+        try:
+            return reduce_all(self, sums)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(Field, "_reduce", counting)
+    monkeypatch.setattr(Field, "_reduce_all", counting_all)
     return calls

@@ -5,12 +5,14 @@ from pathlib import Path
 import pytest
 
 from streamfec.channel import ErasurePattern, apply, enumerate_block_patterns
-from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
+from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plans,
                                     validate_and_derive)
 from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pattern,
                                deadline_table, decode_structured, oracle_decode,
                                oracle_plan)
+from streamfec.gf import GF, FieldMismatchError
 from streamfec.matrix import Mat
+from streamfec.stream import StreamEncoder
 
 from conftest import GATE_CODES, SMALL_CODES, mutated, random_block
 
@@ -70,6 +72,17 @@ class TestOracle:
         with pytest.raises(DecoderError):
             oracle_decode(ex1, [ex1.field().zero] * 5)
 
+    @pytest.mark.parametrize("symbol, error", [(3, TypeError),
+                                               (GF(5, 9).one, FieldMismatchError)])
+    def test_received_symbol_no_plan_reads_checked(self, ex1, symbol, error):
+        """Both decoders check y[9], which no plan of a lost symbol 0 reads."""
+        y = received(ex1, random_block(ex1, random.Random(6)), [0])
+        y[9] = symbol
+        with pytest.raises(error):
+            oracle_decode(ex1, y)
+        with pytest.raises(error):
+            decode_structured(ex1, y, "arbitrary")
+
 
 def unit(g, i):
     f = g.field()
@@ -79,7 +92,7 @@ def unit(g, i):
 def plan_column(g, steps):
     """sum of coeff * G[:, pos] over the steps, as a length-k list."""
     zero = g.field().zero
-    return [evaluate_plan(steps, row, zero) for row in g.G.rows]
+    return [zero.field.dot((coeff, row[pos]) for pos, coeff in steps) for row in g.G.rows]
 
 
 def in_column_span(g, positions, v):
@@ -387,19 +400,26 @@ def test_report_json_shape(ex1):
 
 
 def test_each_plan_evaluation_reduces_once(ex1, ex2, reduce_calls):
-    """evaluate_plan sums raw products and reduces once, whatever the plan's
-    length; a per-term multiply and add would reduce once per step."""
+    """evaluate_plans sums raw products and reduces once per call, whatever
+    the number and length of its plans; a per-term multiply and add would
+    reduce once per step.  encode_block and StreamEncoder.push reduce their
+    n - k parities together, once."""
     rng = random.Random(17)
     for g in (ex1, ex2):
-        zero = g.field().zero
+        zero, k = g.field().zero, g.derived.k
         x = encode_block(random_block(g, rng), g)
         plans = [steps for _, steps in oracle_plan(g, frozenset({0, 1, 2})).values()]
         plans += list(g.encoder_plan)
         assert max(len(steps) for steps in plans) > 2
-        for steps in plans:
+        for batch in [[steps] for steps in plans] + [plans]:
             reduce_calls.clear()
-            evaluate_plan(steps, x, zero)
+            evaluate_plans(batch, x, zero)
             assert len(reduce_calls) == 1
         reduce_calls.clear()
-        encode_block(x[:g.derived.k], g)
-        assert len(reduce_calls) == g.derived.n - g.derived.k
+        encode_block(x[:k], g)
+        assert len(reduce_calls) == 1
+        enc = StreamEncoder(g)
+        for _ in range(g.derived.n):
+            reduce_calls.clear()
+            enc.push(x[:k])
+            assert len(reduce_calls) == 1

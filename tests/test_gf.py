@@ -570,3 +570,26 @@ def test_packed_arithmetic_property(fe):
     for x, y in pairs:
         want = _ref_add(f, want, _ref_mul(f, x.coeffs, y.coeffs))
     assert f.dot(pairs).coeffs == want
+
+
+@st.composite
+def _field_and_raw_sums(draw):
+    """A field of _field_and_elements or a larger one, and 1 to 8 raw sums of
+    up to DOT_TERMS packed products, some of DOT_TERMS top-element products."""
+    q, m = draw(st.one_of(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                                    st.integers(min_value=1, max_value=6)),
+                          st.sampled_from([(7, 9), (5, 9), (11, 11), (13, 14)])))
+    f = GF(q, m)
+    top = f((q - 1,) * m)
+    coeffs = st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * m)
+    pairs = st.lists(st.tuples(coeffs, coeffs), max_size=DOT_TERMS)
+    blocks = draw(st.lists(st.one_of(st.none(), pairs), min_size=1, max_size=8))
+    return f, [DOT_TERMS * top.pk * top.pk if b is None
+               else sum(f(x).pk * f(y).pk for x, y in b) for b in blocks]
+
+
+@given(_field_and_raw_sums())
+@settings(max_examples=200, deadline=None)
+def test_batched_reduction_equals_per_block_reduce(fs):
+    f, sums = fs
+    assert f._reduce_all(sums) == [f._reduce(v) for v in sums]

@@ -8,12 +8,12 @@ import pytest
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_check,
                               encode_stream, simulate, stream_decode)
-from streamfec.construction import (StreamParams, build_code, encode_block, evaluate_plan,
+from streamfec.construction import (StreamParams, build_code, encode_block,
                                     validate_and_derive)
 from streamfec import decoder
 from streamfec.gf import GF, FieldMismatchError
 
-from conftest import GATE_CODES
+from conftest import GATE_CODES, mutated
 
 
 def random_packets(g, count, seed):
@@ -29,7 +29,7 @@ def code(params):
 
 def reference_decode(received, g, num_source, values=True):
     """stream_decode by its definition: for every diagonal, its erased
-    positions as a frozenset, their oracle plan, and evaluate_plan for every
+    positions as a frozenset, their oracle plan, and one Field.dot for every
     source symbol the plan recovers by its deadline."""
     dd, zero = g.derived, g.field().zero
     n, k = dd.n, dd.k
@@ -44,13 +44,40 @@ def reference_decode(received, g, num_source, values=True):
             if 0 <= d + j < num_source and rt <= dd.deadlines[j]:
                 latency[d + j][j] = rt - j
                 if values:
-                    packets[d + j][j] = evaluate_plan(steps, diag, zero)
+                    packets[d + j][j] = zero.field.dot((c, diag[p]) for p, c in steps)
     report = StreamReport(sum(p is ERASED for p in received),
                           tuple(None if None in lat else max(lat) for lat in latency))
     return packets, report
 
 
+def reference_encode(packets, g):
+    """StreamEncoder by its definition: parity column c of the packet at t is
+    one Field.dot of encoder_plan[c] over the diagonal starting at t - (k + c),
+    its source symbol i read from packet t - (k + c) + i, zero before 0."""
+    k, zero = g.derived.k, g.field().zero
+    out = []
+    for t, p in enumerate(packets):
+        row = list(p)
+        for c, steps in enumerate(g.encoder_plan):
+            start = t - (k + c)
+            diag = [zero if start + i < 0 else packets[start + i][i] for i in range(k)]
+            row.append(zero.field.dot((coeff, diag[i]) for i, coeff in steps))
+        out.append(row)
+    return out
+
+
 class TestEncoder:
+    @pytest.mark.parametrize("params", [*GATE_CODES, "ex1 with P[3, 1] + 1"])
+    def test_push_equals_per_column_reference(self, params):
+        """The flat window and its re-indexed plans equal one diagonal list
+        per parity column, for k = 1, delta = 0 and a code whose P is not
+        the one build_code assembles."""
+        g = mutated(code((10, 9, 5, 3)), 3, 1) if params == "ex1 with P[3, 1] + 1" else code(params)
+        flush = [[g.field().zero] * g.derived.k] * (g.derived.n - 1)
+        for seed in range(3):
+            src = random_packets(g, 3 * g.derived.n, seed)
+            assert encode_stream(src, g) == reference_encode(src + flush, g)
+
     def test_systematic_rows_carry_current_packet(self, ex1):
         src = random_packets(ex1, 8, 0)
         sent = encode_stream(src, ex1)[:len(src)]
@@ -177,6 +204,17 @@ class TestDecode:
     def test_received_source_symbol_checked(self, ex1, symbol, error):
         sent = encode_stream(random_packets(ex1, 5, 14), ex1)
         sent[2] = [*sent[2][:4], symbol, *sent[2][5:]]
+        with pytest.raises(error):
+            stream_decode(sent, ex1, num_source=5)
+
+    @pytest.mark.parametrize("slot, pos", [(2, 8), (7, 3)], ids=["parity", "flush"])
+    @pytest.mark.parametrize("symbol, error", [(3, TypeError),
+                                               (GF(5, 9).one, FieldMismatchError)])
+    def test_received_symbol_no_plan_reads_checked(self, ex1, slot, pos, symbol, error):
+        """Parity k + 1 of packet 2, or a symbol of flush packet 7: nothing
+        is erased, so no plan reads it, yet it is checked."""
+        sent = encode_stream(random_packets(ex1, 5, 14), ex1)
+        sent[slot] = [*sent[slot][:pos], symbol, *sent[slot][pos + 1:]]
         with pytest.raises(error):
             stream_decode(sent, ex1, num_source=5)
 
