@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .gf import DOT_TERMS, GF, Field, FieldElement, _operand_error, next_prime
+from .gf import GF, Field, next_prime
 from .matrix import Mat
 from .codes import MdsCode, MrdCode, build_mds, build_gabidulin
 
@@ -183,32 +183,6 @@ def build_code(d: DerivedParams) -> GeneratorSet:
     return GeneratorSet(derived=d, P=Mat(ext, rows))
 
 
-def evaluate_plans(plans, x, zero) -> list:
-    """Per plan, the sum of coeff * x[pos] over its (pos, coeff) steps.
-
-    Every linear map of the code is a plan: a parity symbol over the source
-    symbols, a recovered symbol over the received ones.  Each plan sums its
-    raw products as ``Field.dot`` does, operands checked, and all the sums
-    are reduced together: one reduction per plan set.
-    """
-    f = zero.field
-    sums = []
-    for steps in plans:
-        acc = terms = 0
-        for pos, coeff in steps:
-            v = x[pos]
-            if v.__class__ is not FieldElement or v.field is not f:
-                raise _operand_error(f, v)
-            if coeff.__class__ is not FieldElement or coeff.field is not f:
-                raise _operand_error(f, coeff)
-            if terms == DOT_TERMS:
-                acc, terms = f._reduce(acc), 1
-            acc += coeff.pk * v.pk
-            terms += 1
-        sums.append(acc)
-    return [FieldElement(f, v) for v in f._reduce_all(sums)]
-
-
 def encode_block(s, g: GeneratorSet):
     """Encode k source symbols into the n-symbol systematic codeword."""
     d = g.derived
@@ -216,4 +190,4 @@ def encode_block(s, g: GeneratorSet):
         raise ParamError(f"expected {d.k} source symbols, got {len(s)}")
     ext = g.field()
     sv = [ext(v) for v in s]
-    return sv + evaluate_plans(g.encoder_plan, sv, ext.zero)
+    return sv + ext.evaluate_plans(g.encoder_plan, sv)

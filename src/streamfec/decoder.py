@@ -38,7 +38,7 @@ from typing import Optional
 from .gf import FieldElement, _operand_error
 from .matrix import Mat, NoSolution, Underdetermined
 from .channel import ERASED, ErasurePattern, event_kind
-from .construction import DerivedParams, GeneratorSet, evaluate_plans
+from .construction import DerivedParams, GeneratorSet
 
 
 # Most oracle plans one generator set caches.  Every admissible diagonal
@@ -131,6 +131,7 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
 
     k, f, P = g.derived.k, g.field(), g.P.rows
     lost = sorted(i for i in erased if i < k)
+    received = [j for j in range(k) if j not in erased]
     cols = [c for c in range(g.P.ncols) if k + c not in erased]
     aug = g.P.select_rows(lost).select_columns(cols).hstack(Mat.identity(f, len(lost)))
     R, pivots = aug.rref()
@@ -143,9 +144,9 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
         col = [row[len(cols) + lost.index(i)] for row in R.rows]
         if not any(col[len(basis):]):
             mu = [(c, m) for c, m in zip(basis, col) if m]
-            known = ((j, -f.dot((m, P[j][c]) for c, m in mu))
-                     for j in range(k) if j not in erased)
-            steps = tuple((j, v) for j, v in known if v) + tuple((k + c, m) for c, m in mu)
+            sums = f.evaluate_plans([[(c, P[j][c]) for c, _ in mu] for j in received], dict(mu))
+            steps = (tuple((j, -v) for j, v in zip(received, sums) if v)
+                     + tuple((k + c, m) for c, m in mu))
             plan[i] = (steps[-1][0], steps)
 
     if len(g._plan_cache) < ORACLE_PLAN_CAP:
@@ -160,10 +161,9 @@ def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
     """
     d = g.derived
     plan = oracle_plan(g, _erased_positions(g, y))
-    zero = g.field().zero
     times = {i: t for i, (t, _) in plan.items()}
     met = {i: steps for i, (t, steps) in plan.items() if t <= d.deadlines[i]}
-    vals = dict(zip(met, evaluate_plans(met.values(), y, zero)))
+    vals = dict(zip(met, g.field().evaluate_plans(met.values(), y)))
     return _report(g, times, vals)
 
 
@@ -210,7 +210,8 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
             if i not in vals and i not in in_system:
                 raise StructuralFailureError(
                     f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
-    rhs = [y[k + c] - f.dot((vals[i], p) for i, p in steps[c] if i in vals) for c in cols]
+    known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
+    rhs = [y[k + c] - v for c, v in zip(cols, known)]
     a = g.P.select_rows(unknowns).select_columns(cols)
     if interference:
         entries = g.P.select_rows(interference).select_columns(cols)

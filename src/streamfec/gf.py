@@ -14,10 +14,11 @@ big-integer operations: add, then subtract q from each slot that holds q or
 more, found by a per-slot bias that carries exactly those slots into the
 slot's top bit.  A product is one big-integer multiply of the packed
 operands followed by one reduction, which folds each slot of degree >= m
-back through alpha^d mod the modulus and takes every slot mod q.
-``Field.dot`` sums many raw products before that single reduction: slots
-are wide enough for DOT_TERMS products, and a longer sum reduces in chunks.
-Several such sums reduce together, as blocks of one integer (_reduce_all).
+back through alpha^d mod the modulus and takes every slot mod q, many slots
+per multiply-shift.  ``Field.evaluate_plans`` is the one sum of products: it
+sums raw products before that reduction (slots are wide enough for DOT_TERMS
+products, and a longer sum reduces in chunks), and the sums of a plan set
+reduce together, as blocks of one integer.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
 modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
 rounds of one power by q and one gcd mod the modulus, so no step of the
@@ -181,7 +182,7 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
 # Field spec and elements
 # ---------------------------------------------------------------------------
 
-# Raw products a Field.dot accumulates before it reduces; the slot width of
+# Raw products Field.evaluate_plans sums before it reduces; the slot width of
 # every field is sized so that this many never carry out of a slot.
 DOT_TERMS = 64
 
@@ -308,13 +309,13 @@ class Field:
         self.m = m
         self.modulus = tuple(modulus)
         # Kronecker slot width.  A raw product puts at most m (q-1)^2 in a
-        # slot, a dot sums DOT_TERMS of them, and _reduce's fold adds up to
-        # (m-1) (q-1)^2 more to each low slot: the slot holds all of it.
+        # slot, evaluate_plans sums DOT_TERMS of them, and _reduce's fold
+        # adds up to (m-1) (q-1)^2 more to each low slot: the slot holds all.
         s = ((DOT_TERMS * m + m - 1) * (q - 1) ** 2).bit_length()
         self._slot = s
         self._mask = (1 << s) - 1
         self._low = (1 << (s * m)) - 1
-        self._shifts = tuple(range(s * (m - 1), -1, -s))
+        self._width = (2 * m - 1) * s  # _reduce's block: the slots of a raw product
         # per slot: q, the bias that lifts q to the slot's top bit, that bit
         self._slot_q = self._pack([q] * m)
         self._bias = self._pack([(1 << (s - 1)) - q] * m)
@@ -323,7 +324,7 @@ class Field:
         self._red = [self._pack(_poly_mod([0] * d + [1], modulus, q)) for d in range(m, 2 * m - 1)]
         K = s + q.bit_length()  # _mod_slots: floor(x / q) = floor(x c / 2^K), x < 2^s
         self._div = (-(-(1 << K) // q), K)
-        self._batch: dict[int, tuple] = {}  # _reduce_all's masks per block count, lazily
+        self._batch: dict[int, tuple] = {}  # _reduce's masks per block count, lazily
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.alpha = FieldElement(self, 1 << s) if m >= 2 else self.one
@@ -366,40 +367,20 @@ class Field:
         carries exactly those slots into their top bit."""
         return v - (((v + self._bias) & self._top) >> (self._slot - 1)) * self.q
 
-    def _reduce(self, v: int) -> int:
-        """The packed element of a sum of raw packed products: each slot
-        d >= m folds back, mod q, through alpha^d mod the modulus, then
-        every low slot is taken mod q."""
-        q, s, mask = self.q, self._slot, self._mask
-        lo, hi = v & self._low, v >> (s * self.m)
-        for r in self._red:
-            if not hi:
-                break
-            c = (hi & mask) % q
-            if c:
-                lo += c * r
-            hi >>= s
-        out = 0
-        for sh in self._shifts:
-            out = (out << s) | ((lo >> sh) & mask) % q
-        return out
-
-    def _reduce_all(self, sums: Sequence[int]) -> list[int]:
-        """``[self._reduce(v) for v in sums]``, with sum b at bit b (2m - 1) s of
-        one integer so that each step acts on every block.  One block, or m = 1
-        with nothing to fold, reduces faster alone."""
-        if len(sums) < 2 or self.m == 1:
-            return [self._reduce(v) for v in sums]
-        lo_groups, hi_groups, slot0, low, w = self._batch.get(len(sums)) or self._masks(len(sums))
-        a = 0
-        for v in reversed(sums):
-            a = (a << w) | v
-        h = self._mod_slots(a, hi_groups)
-        lo = a & low
-        for d, r in enumerate(self._red, self.m):
-            lo += ((h >> (d * self._slot)) & slot0) * r
-        lo = self._mod_slots(lo, lo_groups)
-        return [(lo >> (b * w)) & self._low for b in range(len(sums))]
+    def _reduce(self, v: int, count: int = 1) -> int:
+        """Reduce count raw sums of packed products, held as blocks of 2m - 1
+        slots (sum b at bit b (2m - 1) s), in the same layout: the high slots
+        d >= m of every block are taken mod q and folded back through
+        alpha^d mod the modulus, then every low slot is taken mod q.  A sum
+        with no high slot, such as a product by a prime-subfield element,
+        needs only the last step."""
+        lo_groups, hi_groups, slot0, low = self._batch.get(count) or self._masks(count)
+        if v & low != v:
+            h = self._mod_slots(v, hi_groups)
+            v &= low
+            for d, r in enumerate(self._red, self.m):
+                v += ((h >> (d * self._slot)) & slot0) * r
+        return self._mod_slots(v, lo_groups)
 
     def _mod_slots(self, v: int, groups: tuple) -> int:
         """Each slot x < 2^s of the groups mod q, as x - q floor(x c / 2^K): a
@@ -410,30 +391,43 @@ class Field:
                              + (((v & g2) * c >> K) & g2))
 
     def _masks(self, count: int) -> tuple:
-        """_reduce_all's masks and block width for count blocks, made once."""
+        """_reduce's masks for count blocks, made once."""
         s, slots = self._slot, 2 * self.m - 1
         groups = [[0, 0, 0], [0, 0, 0]]  # [low or high slot][slot index mod 3]
         for i in range(count * slots):
             groups[i % slots >= self.m][i % 3] |= self._mask << (i * s)
         ones = sum(1 << (b * slots * s) for b in range(count))
-        self._batch[count] = (*map(tuple, groups), ones * self._mask, ones * self._low, slots * s)
+        self._batch[count] = (*map(tuple, groups), ones * self._mask, ones * self._low)
         return self._batch[count]
 
-    def dot(self, pairs: Iterable[tuple[FieldElement, FieldElement]]) -> FieldElement:
-        """Sum of a * b over the pairs, with one reduction per DOT_TERMS
-        products: the raw products add up slot by slot, carry-free."""
-        acc = n = 0
-        for a, b in pairs:
-            if a.__class__ is not FieldElement or a.field is not self:
-                raise _operand_error(self, a)
-            if b.__class__ is not FieldElement or b.field is not self:
-                raise _operand_error(self, b)
-            if n == DOT_TERMS:
-                # the reduced sum takes one product's room in each slot
-                acc, n = self._reduce(acc), 1
-            acc += a.pk * b.pk
-            n += 1
-        return FieldElement(self, self._reduce(acc))
+    def evaluate_plans(self, plans, x) -> list[FieldElement]:
+        """Per plan, the sum of coeff * x[pos] over its (pos, coeff) steps.
+
+        Every linear map of the code is a plan set: the parities of a block
+        or a packet, the symbols a pattern recovers, a right-hand side, a
+        row of a matrix product.  Both operands of every step are checked.
+        Each plan sums its raw products slot by slot, carry-free, reducing
+        every DOT_TERMS products; the sums are then packed as blocks and
+        reduced together: one reduction per plan set.
+        """
+        w, packed, shift = self._width, 0, 0
+        for steps in plans:
+            acc = terms = 0
+            for pos, coeff in steps:
+                v = x[pos]
+                if v.__class__ is not FieldElement or v.field is not self:
+                    raise _operand_error(self, v)
+                if coeff.__class__ is not FieldElement or coeff.field is not self:
+                    raise _operand_error(self, coeff)
+                if terms == DOT_TERMS:
+                    # the reduced sum takes one product's room in each slot
+                    acc, terms = self._reduce(acc), 1
+                acc += coeff.pk * v.pk
+                terms += 1
+            packed |= acc << shift
+            shift += w
+        packed = self._reduce(packed, shift // w)
+        return [FieldElement(self, (packed >> sh) & self._low) for sh in range(0, shift, w)]
 
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, self._pack([rng.randrange(self.q) for _ in range(self.m)]))

@@ -99,13 +99,13 @@ class Mat:
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """The product; each entry is one ``Field.dot`` of a row and a column."""
+        """The product; each row is one plan set, a plan per column of other
+        over the row's entries, so one reduction per row."""
         f = _same_field(self, other)
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch in mul: {self.ncols} vs {other.nrows}")
-        bt = other.transpose().rows
-        dot = f.dot
-        return Mat(f, [[dot(zip(ra, cb)) for cb in bt] for ra in self.rows], other.ncols)
+        plans = [tuple(enumerate(col)) for col in other.transpose().rows]
+        return Mat(f, [f.evaluate_plans(plans, row) for row in self.rows], other.ncols)
 
     # -- selection ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
-from .construction import GeneratorSet, evaluate_plans
+from .construction import GeneratorSet
 from .decoder import oracle_plan
 from .gf import FieldElement, _operand_error
 
@@ -49,7 +49,7 @@ class StreamEncoder:
             raise StreamError(f"expected {k} source symbols, got {len(symbols)}")
         ext = self.g.field()
         s_now = [ext(v) for v in symbols]
-        out = s_now + evaluate_plans(self.g.window_plan, self.window, ext.zero)
+        out = s_now + ext.evaluate_plans(self.g.window_plan, self.window)
         self.window = self.window[k:] + s_now
         return out
 
@@ -140,7 +140,7 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
     zero = g.field().zero
     bad = [v for p in received if p is not ERASED for v in p
            if v.__class__ is not FieldElement or v.field is not zero.field]
-    if bad:  # as Field.dot rejects an operand, read by a plan or not
+    if bad:  # as evaluate_plans rejects an operand, read by a plan or not
         raise _operand_error(zero.field, bad[0])
     packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
     for d, key in enumerate(keys, 1 - k):
@@ -148,7 +148,7 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
             rec = {j: steps for j, steps in steps_of[key].items() if d + j < num_source}
             diag = [zero if t < 0 else ERASED if received[t] is ERASED else received[t][p]
                     for p, t in enumerate(range(d, d + n))]
-            for j, v in zip(rec, evaluate_plans(rec.values(), diag, zero)):
+            for j, v in zip(rec, zero.field.evaluate_plans(rec.values(), diag)):
                 packets[d + j][j] = v
     return packets, report
 

@@ -60,26 +60,13 @@ def mutated(g, i, c, delta=None):
 
 @pytest.fixture
 def reduce_calls(monkeypatch):
-    """A list that gains one entry per reduction during the test: a
-    Field._reduce call, or a Field._reduce_all call of one or more sums,
-    whose own _reduce calls count as part of it."""
-    calls, inside = [], []
-    reduce, reduce_all = Field._reduce, Field._reduce_all
+    """A list that gains one entry per Field._reduce call during the test,
+    whatever the number of sums the call reduces together."""
+    calls, reduce = [], Field._reduce
 
-    def counting(self, v):
-        if not inside:
-            calls.append(1)
-        return reduce(self, v)
-
-    def counting_all(self, sums):
-        if sums:
-            calls.append(1)
-        inside.append(1)
-        try:
-            return reduce_all(self, sums)
-        finally:
-            inside.pop()
+    def counting(self, v, count=1):
+        calls.append(1)
+        return reduce(self, v, count)
 
     monkeypatch.setattr(Field, "_reduce", counting)
-    monkeypatch.setattr(Field, "_reduce_all", counting_all)
     return calls

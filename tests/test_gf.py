@@ -470,6 +470,11 @@ def _all_elements(f):
     return [f(c) for c in itertools.product(range(f.q), repeat=f.m)]
 
 
+def _sum_of_products(f, pairs):
+    """sum of a * b over the pairs, as one plan of steps (i, a) over the b's."""
+    return f.evaluate_plans([[(i, a) for i, (a, _) in enumerate(pairs)]], [b for _, b in pairs])[0]
+
+
 class TestPackedArithmetic:
     @pytest.mark.parametrize("q,m", [(2, 1), (7, 1), (2, 4), (3, 3), (5, 2)])
     def test_every_pair_matches_reference(self, q, m):
@@ -496,10 +501,11 @@ class TestPackedArithmetic:
                                      (13, 14), (11, 20)])
     @pytest.mark.parametrize("length", [0, 1, DOT_TERMS - 1, DOT_TERMS, DOT_TERMS + 1, 1000])
     def test_dot_of_top_elements_equals_sequential_sum(self, q, m, length):
-        # every coefficient q - 1: the largest raw product each slot can hold
+        # every coefficient q - 1: the largest raw product each slot can hold;
+        # a plan of more than DOT_TERMS steps reduces in chunks
         f = GF(q, m)
         top = f((q - 1,) * m)
-        got = f.dot([(top, top)] * length)
+        got = f.evaluate_plans([[(0, top)] * length], [top])[0]
         prod = _ref_mul(f, top.coeffs, top.coeffs)
         assert got.coeffs == tuple(length * c % q for c in prod)
         acc = f.zero
@@ -515,7 +521,7 @@ class TestPackedArithmetic:
         want = f.zero.coeffs
         for a, b in pairs:
             want = _ref_add(f, want, _ref_mul(f, a.coeffs, b.coeffs))
-        assert f.dot(pairs).coeffs == want
+        assert _sum_of_products(f, pairs).coeffs == want
 
     def test_dot_checks_both_operands_of_every_pair(self):
         f, other = GF(7, 9), GF(5, 9)
@@ -525,7 +531,7 @@ class TestPackedArithmetic:
             for pairs in ([(bad, f.one)], [(f.one, bad)], [good, good, (bad, f.alpha)],
                           [good, (f.alpha, bad), good]):
                 with pytest.raises(err):
-                    f.dot(pairs)
+                    _sum_of_products(f, pairs)
 
     @pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (5, 2)])
     def test_coeffs_and_text_are_the_stored_tuple(self, q, m):
@@ -569,27 +575,46 @@ def test_packed_arithmetic_property(fe):
     want = f.zero.coeffs
     for x, y in pairs:
         want = _ref_add(f, want, _ref_mul(f, x.coeffs, y.coeffs))
-    assert f.dot(pairs).coeffs == want
+    assert _sum_of_products(f, pairs).coeffs == want
+
+
+def _reduce_per_slot(f, v):
+    """The packed element of one raw sum, slot by slot: each slot d >= m
+    folds back, mod q, through alpha^d mod the modulus, then every low slot
+    is taken mod q.  Shares no step with Field._reduce's batched masks."""
+    q, s, mask = f.q, f._slot, f._mask
+    lo, hi = v & f._low, v >> (s * f.m)
+    for r in f._red:
+        lo += (hi & mask) % q * r
+        hi >>= s
+    return sum(((lo >> (s * i)) & mask) % q << (s * i) for i in range(f.m))
 
 
 @st.composite
 def _field_and_raw_sums(draw):
     """A field of _field_and_elements or a larger one, and 1 to 8 raw sums of
-    up to DOT_TERMS packed products, some of DOT_TERMS top-element products."""
+    up to DOT_TERMS packed products: some of DOT_TERMS top-element products,
+    some by prime-subfield elements only, which have no high slot."""
     q, m = draw(st.one_of(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]),
                                     st.integers(min_value=1, max_value=6)),
                           st.sampled_from([(7, 9), (5, 9), (11, 11), (13, 14)])))
     f = GF(q, m)
     top = f((q - 1,) * m)
     coeffs = st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * m)
-    pairs = st.lists(st.tuples(coeffs, coeffs), max_size=DOT_TERMS)
+    base = st.integers(min_value=0, max_value=q - 1)
+    pairs = st.lists(st.tuples(st.one_of(coeffs, base), coeffs), max_size=DOT_TERMS)
     blocks = draw(st.lists(st.one_of(st.none(), pairs), min_size=1, max_size=8))
     return f, [DOT_TERMS * top.pk * top.pk if b is None
                else sum(f(x).pk * f(y).pk for x, y in b) for b in blocks]
 
 
 @given(_field_and_raw_sums())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_batched_reduction_equals_per_block_reduce(fs):
+    """_reduce of the sums packed as blocks of 2m - 1 slots is the per-slot
+    reduction of each sum, in the same layout."""
     f, sums = fs
-    assert f._reduce_all(sums) == [f._reduce(v) for v in sums]
+    w = (2 * f.m - 1) * f._slot
+    packed = sum(v << (b * w) for b, v in enumerate(sums))
+    assert f._reduce(packed, len(sums)) == sum(_reduce_per_slot(f, v) << (b * w)
+                                               for b, v in enumerate(sums))

@@ -48,6 +48,8 @@ class TestMul:
             Mat.identity(f7, 2) @ Mat.identity(f7, 3)
 
     def test_each_entry_reduces_once(self, reduce_calls):
+        """Each entry is reduced once, in its row's one reduction: a row is
+        one plan set."""
         f = GF(7, 9)
         rng = random.Random(8)
         a, b = rand_mat(f, 3, 6, rng), rand_mat(f, 6, 4, rng)
@@ -55,7 +57,23 @@ class TestMul:
                 for i in range(3)]
         reduce_calls.clear()
         assert (a @ b).rows == want
-        assert len(reduce_calls) == 3 * 4
+        assert len(reduce_calls) == 3
+
+    def test_foreign_entries_rejected(self):
+        """Every entry of both operands is checked, zero or not, whichever
+        row or column it sits in."""
+        f, rng = GF(7, 9), random.Random(3)
+        for bad, err in ((3, TypeError), (GF(5, 9).one, FieldMismatchError),
+                         (GF(5, 9).zero, FieldMismatchError)):
+            for i, j in ((0, 0), (1, 2), (2, 1)):
+                a, b = rand_mat(f, 3, 3, rng), Mat.identity(f, 3)
+                for left, right in ((a, b), (b, a)):
+                    rows = left.copy_rows()
+                    rows[i][j] = bad
+                    with pytest.raises(err):
+                        Mat(f, rows) @ right
+                    with pytest.raises(err):
+                        right @ Mat(f, rows)
 
 
 class TestRank:

@@ -29,8 +29,8 @@ def code(params):
 
 def reference_decode(received, g, num_source, values=True):
     """stream_decode by its definition: for every diagonal, its erased
-    positions as a frozenset, their oracle plan, and one Field.dot for every
-    source symbol the plan recovers by its deadline."""
+    positions as a frozenset, their oracle plan, and one sum of products for
+    every source symbol the plan recovers by its deadline."""
     dd, zero = g.derived, g.field().zero
     n, k = dd.n, dd.k
     packets = [[None] * k for _ in range(num_source)] if values else None
@@ -44,7 +44,7 @@ def reference_decode(received, g, num_source, values=True):
             if 0 <= d + j < num_source and rt <= dd.deadlines[j]:
                 latency[d + j][j] = rt - j
                 if values:
-                    packets[d + j][j] = zero.field.dot((c, diag[p]) for p, c in steps)
+                    packets[d + j][j] = sum((c * diag[p] for p, c in steps), zero)
     report = StreamReport(sum(p is ERASED for p in received),
                           tuple(None if None in lat else max(lat) for lat in latency))
     return packets, report
@@ -52,8 +52,9 @@ def reference_decode(received, g, num_source, values=True):
 
 def reference_encode(packets, g):
     """StreamEncoder by its definition: parity column c of the packet at t is
-    one Field.dot of encoder_plan[c] over the diagonal starting at t - (k + c),
-    its source symbol i read from packet t - (k + c) + i, zero before 0."""
+    the sum of coeff * symbol over encoder_plan[c] on the diagonal starting
+    at t - (k + c), its source symbol i read from packet t - (k + c) + i,
+    zero before 0."""
     k, zero = g.derived.k, g.field().zero
     out = []
     for t, p in enumerate(packets):
@@ -61,7 +62,7 @@ def reference_encode(packets, g):
         for c, steps in enumerate(g.encoder_plan):
             start = t - (k + c)
             diag = [zero if start + i < 0 else packets[start + i][i] for i in range(k)]
-            row.append(zero.field.dot((coeff, diag[i]) for i, coeff in steps))
+            row.append(sum((coeff * diag[i] for i, coeff in steps), zero))
         out.append(row)
     return out
 
