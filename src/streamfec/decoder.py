@@ -41,9 +41,10 @@ from .channel import ERASED, ErasurePattern, event_kind
 from .construction import DerivedParams, GeneratorSet
 
 
-# Most oracle plans one generator set caches.  Every admissible diagonal
-# pattern of ex1 (443) fits; inadmissible loss could otherwise fill the
-# cache with up to 2^n patterns.  Plans past the cap are computed, not kept.
+# Most plans one generator set caches: oracle plans and stream packet plans
+# together.  ex1's 443 admissible diagonal patterns fit, and 200 sampled
+# 5,000-packet streams need 190 packet plans on 261 patterns (ex2: 62 on 101);
+# inadmissible loss could fill it.  Plans past the cap are computed, not kept.
 ORACLE_PLAN_CAP = 4096
 
 

@@ -14,15 +14,15 @@ N erasures: for (W, T, B, N) = (10, 9, 5, 3), n = 12 and the admissible
 {0, 1, 10, 11} is neither.  Every diagonal is therefore decoded by the
 oracle plan alone, and a symbol counts as recovered only by its deadline;
 on an admissible stream every diagonal meets all of them (acceptance
-criterion 10).  stream_decode looks up one plan per distinct pattern per
-call, and evaluates the symbols a diagonal recovers as one plan set.
+criterion 10).  stream_decode decodes only the erased source packets, each
+by one cached packet plan built from the oracle plans of its k diagonals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional, Sequence
 
+from . import decoder
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
 from .construction import GeneratorSet
 from .decoder import oracle_plan
@@ -99,19 +99,40 @@ class StreamReport:
         }
 
 
+def _packet_plan(g: GeneratorSet, local: int) -> tuple:
+    """Erased packet t's (latency or None, (slot offset, row) reads, {j: steps}
+    per symbol j met by its deadline); bit b of local is slot t - k + 1 + b
+    erased.  Cached under the int local, which equals no frozenset key."""
+    plan = g._plan_cache.get(local)
+    if plan is not None:
+        return plan
+    dd = g.derived
+    worst, reads, steps = 0, {}, {}
+    for j in range(dd.k):  # symbol j lies at position j of diagonal t - j
+        diag = local >> (dd.k - 1 - j)
+        hit = oracle_plan(g, frozenset(p for p in range(dd.n) if diag >> p & 1)).get(j)
+        met = hit is not None and hit[0] <= dd.deadlines[j]
+        worst = max(worst, hit[0] - j if met else _MISS)
+        if met:
+            steps[j] = tuple((reads.setdefault((p - j, p), len(reads)), c) for p, c in hit[1])
+    plan = (None if worst == _MISS else worst, tuple(reads), steps)
+    if len(g._plan_cache) < decoder.ORACLE_PLAN_CAP:
+        g._plan_cache[local] = plan
+    return plan
+
+
 def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
                   values: bool = True) -> tuple[Optional[list], StreamReport]:
-    """Decode a received channel stream diagonal by diagonal.
+    """Decode a received channel stream one erased source packet at a time.
 
     ``received`` holds one channel packet (n symbols) or ERASED per slot;
     with ``values=True`` a packet of any other width raises StreamError.
     ``num_source`` is the number of real source packets; the n - 1 slots
     after them carry the flush.  With ``values=False`` only the recovery
     plan is evaluated (which positions resolve by which time), skipping the
-    per-symbol arithmetic; the latency report is identical.  Each distinct
-    diagonal erasure pattern is compiled once per call, to the latencies of
-    its source symbols and the steps of its recovered erased ones; a
-    received source symbol is copied, not evaluated.
+    per-symbol arithmetic; the latency report is identical.  A received
+    source packet is copied at latency 0; an erased one is decoded by its
+    packet plan, its recovered symbols as one plan set.
     """
     dd = g.derived
     n, k = dd.n, dd.k
@@ -122,19 +143,15 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
         if bad is not None:
             raise StreamError(f"packet {bad} has {len(received[bad])} symbols, expected {n}")
 
+    erased = [t for t, p in enumerate(received) if p is ERASED]
     # bit t + k - 1 is set iff slot t is erased; cold-start slots t < 0 read as received
-    mask = sum(1 << (t + k - 1) for t, p in enumerate(received) if p is ERASED)
-    keys = [(mask >> i) & ((1 << n) - 1) for i in range(num_source + k - 1)]
-    lat_of, steps_of = {}, {}  # per distinct pattern, in order of first sight
-    for key in dict.fromkeys(keys):
-        plan = oracle_plan(g, frozenset(p for p in range(n) if key >> p & 1))
-        met = {j: hit for j, hit in plan.items() if hit[0] <= dd.deadlines[j]}
-        lat_of[key] = [met[j][0] - j if j in met else _MISS for j in range(k)]
-        steps_of[key] = {j: met[j][1] for j in met if key >> j & 1}
-    # keys[d + k - 1] is the diagonal starting at d; symbol j of packet t lies on t - j
-    lats = [lat_of[key] for key in keys]
-    worst = map(max, zip(*(map(itemgetter(j), lats[k - 1 - j:len(lats) - j]) for j in range(k))))
-    report = StreamReport(mask.bit_count(), tuple(None if v == _MISS else v for v in worst))
+    mask = sum(1 << (t + k - 1) for t in erased)
+    span = (1 << (n + k - 1)) - 1
+    plans = {t: _packet_plan(g, (mask >> t) & span) for t in erased if t < num_source}
+    latencies = [0] * num_source
+    for t, plan in plans.items():
+        latencies[t] = plan[0]
+    report = StreamReport(len(erased), tuple(latencies))
     if not values:
         return None, report
     zero = g.field().zero
@@ -143,13 +160,10 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
     if bad:  # as evaluate_plans rejects an operand, read by a plan or not
         raise _operand_error(zero.field, bad[0])
     packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
-    for d, key in enumerate(keys, 1 - k):
-        if steps_of[key]:
-            rec = {j: steps for j, steps in steps_of[key].items() if d + j < num_source}
-            diag = [zero if t < 0 else ERASED if received[t] is ERASED else received[t][p]
-                    for p, t in enumerate(range(d, d + n))]
-            for j, v in zip(rec, zero.field.evaluate_plans(rec.values(), diag)):
-                packets[d + j][j] = v
+    for t, (_, reads, steps) in plans.items():
+        x = [zero if t + off < 0 else received[t + off][row] for off, row in reads]
+        for j, v in zip(steps, zero.field.evaluate_plans(steps.values(), x)):
+            packets[t][j] = v
     return packets, report
 
 

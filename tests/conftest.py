@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import json
 import random
+from itertools import product
 
 import pytest
 
-from streamfec.construction import StreamParams, validate_and_derive, build_code
+from streamfec.construction import ParamError, StreamParams, validate_and_derive, build_code
 from streamfec.gf import Field
 from streamfec.matrix import Mat
 
@@ -14,6 +16,22 @@ SMALL_CODES = [(2, 1, 1, 1), (6, 5, 3, 3), (6, 5, 2, 2), (5, 4, 2, 1)]
 # (W, T, B, N) of every code the exhaustive gates cover: ex1, ex2, the small
 # codes and (6, 9, 3, 2), whose window is shorter than its delay allows.
 GATE_CODES = [(10, 9, 5, 3), (11, 10, 4, 2), *SMALL_CODES, (6, 9, 3, 2)]
+
+
+@functools.cache
+def accepted_small_params() -> tuple:
+    """Every (W, T, B, N) with W <= 13 and T <= 14 that validate_and_derive
+    accepts with n <= 12, T >= W included: the codes criterion 10's
+    hypothesis tests draw from."""
+    out = []
+    for W, T, B, N in product(range(2, 14), range(1, 15), range(1, 13), range(1, 13)):
+        try:
+            d = validate_and_derive(StreamParams(W, T, B, N))
+        except ParamError:
+            continue
+        if d.n <= 12:
+            out.append((W, T, B, N))
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ criteria.
 """
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 from streamfec.channel import (ErasurePattern, apply, enumerate_block_patterns, is_admissible,
                                sample_stream_pattern)
 from streamfec.codes import build_gabidulin, build_mds, subcode_columns, verify_mds, verify_mrd
-from streamfec.construction import (ParamError, StreamParams, build_code, capacity,
-                                    constituents, encode_block, validate_and_derive)
+from streamfec.construction import (StreamParams, build_code, capacity, constituents,
+                                    encode_block, validate_and_derive)
 from streamfec.decoder import (StructuralFailureError, classify_pattern, deadline_table,
                                decode_structured, oracle_decode, oracle_plan)
 from streamfec.gf import GF, is_prime, next_prime
 from streamfec.stream import delay_check, simulate
 
-from conftest import GATE_CODES, mutated
+from conftest import GATE_CODES, accepted_small_params, mutated
 
 
 def report(capsys, num, ok):
@@ -253,20 +253,6 @@ def test_criterion_10_every_admissible_diagonal_meets_its_deadlines(capsys, ex1)
     # negative control: with P[0, 0] zeroed, ex1 misses deadlines
     ok = ok and diagonal_misses(mutated(ex1, 0, 0, -ex1.P[0, 0]))[1] > 0
     report(capsys, 10, ok)
-
-
-def accepted_small_params():
-    """Every (W, T, B, N) with W <= 13 and T <= 14 that validate_and_derive
-    accepts with n <= 12, T >= W included."""
-    out = []
-    for W, T, B, N in product(range(2, 14), range(1, 15), range(1, 13), range(1, 13)):
-        try:
-            d = validate_and_derive(StreamParams(W, T, B, N))
-        except ParamError:
-            continue
-        if d.n <= 12:
-            out.append((W, T, B, N))
-    return out
 
 
 @given(st.sampled_from(accepted_small_params()))

@@ -208,6 +208,7 @@ GOLDEN = [
     ("simulate_len0_w6", ["simulate", "--W", "6", "--T", "5", "--B", "3", "--N", "3",
                           "--len", "0", "--trials", "1"], 0),
     ("simulate_trials0_ex1", ["simulate", *EX1, "--trials", "0"], 0),
+    ("simulate_long_ex2", ["simulate", *EX2, "--len", "3000", "--trials", "2", "--seed", "9"], 0),
 ]
 
 

@@ -4,16 +4,17 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_check,
                               encode_stream, simulate, stream_decode)
 from streamfec.construction import (StreamParams, build_code, encode_block,
                                     validate_and_derive)
-from streamfec import decoder
+from streamfec import decoder, stream
 from streamfec.gf import GF, FieldMismatchError
 
-from conftest import GATE_CODES, mutated
+from conftest import GATE_CODES, accepted_small_params, mutated
 
 
 def random_packets(g, count, seed):
@@ -192,6 +193,81 @@ class TestDecode:
                 masked = [ERASED if p is ERASED else () for p in got]
                 assert (stream_decode(masked, g, length, values=False)
                         == reference_decode(masked, g, length, values=False))
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_matches_reference_decoder_on_drawn_codes(self, data):
+        """As above on a code of criterion 10's scan (n <= 12), with losses
+        drawn in three parts: the first k slots, where diagonals reach before
+        slot 0; the flush and the slots past it, in a received list longer
+        than num_source + n - 1; and anywhere."""
+        g = code(data.draw(st.sampled_from(accepted_small_params())))
+        n, k = g.derived.n, g.derived.k
+        length, extra = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(0, n))
+        horizon = length + extra + n - 1
+        erased = (data.draw(st.sets(st.integers(0, min(k, horizon) - 1)))
+                  | data.draw(st.sets(st.integers(length, horizon - 1)))
+                  | data.draw(st.sets(st.integers(0, horizon - 1), max_size=horizon // 3)))
+        sent = encode_stream(random_packets(g, length + extra, data.draw(st.integers(0, 99))), g)
+        got = apply(sent, ErasurePattern.make(horizon, erased))
+        assert stream_decode(got, g, length) == reference_decode(got, g, length)
+        masked = [ERASED if p is ERASED else () for p in got]
+        assert (stream_decode(masked, g, length, values=False)
+                == reference_decode(masked, g, length, values=False))
+
+    def test_decode_work_follows_the_losses(self, ex1, monkeypatch):
+        """With no erased source packet, erased flush slots or not, neither
+        mode asks for a plan or caches one.  A lone loss among 10,000 packets
+        compiles one packet plan from warm oracle plans; two lone losses
+        elsewhere, one whose diagonals reach before slot 0, compile none."""
+        calls = []
+        monkeypatch.setattr(stream, "oracle_plan",
+                            lambda g, erased: calls.append(erased) or decoder.oracle_plan(g, erased))
+        g = dataclasses.replace(ex1)
+        n, k = g.derived.n, g.derived.k
+        sent = encode_stream(random_packets(g, 20, 40), g)
+        for erased in ([], [20, 20 + n - 2]):
+            got = apply(sent, ErasurePattern.make(len(sent), erased))
+            decoded, rep = stream_decode(got, g, 20)
+            assert decoded == [p[:k] for p in sent[:20]] and rep.erased_slots == len(erased)
+            masked = [ERASED if p is ERASED else () for p in got]
+            assert stream_decode(masked, g, 20, values=False) == (None, rep)
+        assert calls == [] and g._plan_cache == {}
+
+        for j in range(k):  # the diagonals through a lone loss, each erased at j
+            decoder.oracle_plan(g, frozenset({j}))
+        horizon = 10_000 + n - 1
+        for lost, new_plans in (([6_000], 1), ([3, 9_000], 0)):
+            lone = apply([()] * horizon, ErasurePattern.make(horizon, lost))
+            before, calls[:] = len(g._plan_cache), []
+            _, rep = stream_decode(lone, g, 10_000, values=False)
+            assert len(g._plan_cache) - before == new_plans
+            assert len(calls) == k * new_plans
+            assert rep.failures == () and all(0 < rep.latencies[t] <= g.derived.T_eff
+                                              for t in lost)
+
+    @pytest.mark.parametrize("params", [(10, 9, 5, 3), (11, 10, 4, 2), (6, 9, 3, 2)])
+    def test_packet_plans_read_received_slots_up_to_the_delay(self, params):
+        """After sampled admissible streams and a 30%-loss stream, every
+        cached packet plan of a packet t reads only received slots in
+        [t - k + 1, t + T_eff], and some read is at t + T_eff exactly: the
+        decision an online decoder emits at slot t + T_eff."""
+        g = dataclasses.replace(code(params))
+        d = g.derived
+        for seed in range(10):
+            simulate(g, 300, seed, values=False)
+        rng = random.Random(30)
+        horizon = 300 + d.n - 1
+        heavy = ErasurePattern.make(horizon, [t for t in range(horizon) if rng.random() < 0.3])
+        stream_decode(apply([()] * horizon, heavy), g, 300, values=False)
+        offsets = set()
+        for local, plan in g._plan_cache.items():
+            if isinstance(local, int):  # a packet plan; oracle plans have frozenset keys
+                reads = plan[1]
+                assert all(0 <= row < d.n and not local >> (off + d.k - 1) & 1
+                           for off, row in reads)
+                offsets |= {off for off, _ in reads}
+        assert min(offsets) >= 1 - d.k and max(offsets) == d.T_eff
 
     def test_clean_stream_reduces_nothing(self, ex1, reduce_calls):
         sent = encode_stream(random_packets(ex1, 12, 13), ex1)
