@@ -12,20 +12,21 @@ Two decoders over the same generator set:
   combination per symbol.
 
 * ``decode_structured`` mirrors the algebra the code was designed around,
-  in one pipeline for both pattern kinds.  Each stage is one solve over
+  in one pipeline for both pattern kinds.  Each stage is one Mat.rref over
   received parity columns of P, with the known symbols moved to the
   right-hand side.  The outer rows of P (first delta and last k - B) are
   Gabidulin rows, so outer solves are rank-metric solves once the unknown
-  middle symbols are nulled out over the base field; each middle sub-block
-  is peeled through its Cauchy columns.  Stage 1 solves the outer symbols
-  early: through the first N parity columns under arbitrary erasures, or
-  through the first delta under a burst entering [0, delta).  Stage 2
-  peels the affected sub-blocks in ascending order, each after an outer
-  solve up to its own parity columns if outer symbols are still unknown.
-  Stage 3 solves what outer symbols remain from the full parity span.  A
-  solve that is not unique, or that meets an unknown symbol it does not
-  solve for, raises StructuralFailureError, so every returned value is
-  pinned by P; on an admissible pattern the error is a bug.
+  middle symbols are nulled out over the base field, by eliminating them
+  first; each middle sub-block is peeled through its Cauchy columns.
+  Stage 1 solves the outer symbols early: through the first N parity
+  columns under arbitrary erasures, or through the first delta under a
+  burst entering [0, delta).  Stage 2 peels the affected sub-blocks in
+  ascending order, each after an outer solve up to its own parity columns
+  if outer symbols are still unknown.  Stage 3 solves what outer symbols
+  remain from the full parity span.  A solve that is not unique, or that
+  meets an unknown symbol it does not solve for, raises
+  StructuralFailureError, so every returned value is pinned by P; on an
+  admissible pattern the error is a bug.
 
 Both report per-symbol recovery times against the per-symbol deadline
 min(i + T_eff, n - 1).
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gf import FieldElement, _operand_error
-from .matrix import Mat, NoSolution, Underdetermined
+from .matrix import Mat
 from .channel import ERASED, ErasurePattern, event_kind
 from .construction import DerivedParams, GeneratorSet
 
@@ -197,43 +198,43 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     """Solve for the unknown source rows over received parity columns of P.
 
     Every known source value moves to the right-hand side through P; any
-    other symbol that meets cols must be in unknowns or interference.  The
-    rows in interference are nulled out over the base field: their entries
-    in cols must lie in GF(q), so the right kernel of that block is a map
-    over GF(q), and the outer rows of P are Gabidulin rows, which keep full
-    rank under it.  Returns the recovered values and the last codeword
-    position used.
+    other symbol that meets cols must be in unknowns or interference.  One
+    Mat.rref of [P[interference + unknowns, cols]^T | rhs] solves the rest,
+    eliminating the interference columns first: that is the null-out.  Their
+    entries must lie in GF(q); the rows left then say x A K = rhs K, with A
+    the unknowns' block and K a right kernel of the interference block over
+    GF(q).  The outer rows of P are Gabidulin rows, which keep full rank
+    under K, so each unknown takes a pivot and its row holds the value.
+    Returns the recovered values and the last codeword position used.
     """
-    k, f, steps = g.derived.k, g.field(), g.encoder_plan
-    in_system = set(unknowns) | set(interference)
+    k, f, steps, P = g.derived.k, g.field(), g.encoder_plan, g.P.rows
+    order = interference + unknowns
     for c in cols:
         for i, _ in steps[c]:
-            if i not in vals and i not in in_system:
+            if i not in vals and i not in order:
                 raise StructuralFailureError(
                     f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
+    if any(P[i][c] and not P[i][c].is_base() for i in interference for c in cols):
+        raise StructuralFailureError("interference entry outside the base field")
     known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
-    rhs = [y[k + c] - v for c, v in zip(cols, known)]
-    a = g.P.select_rows(unknowns).select_columns(cols)
-    if interference:
-        entries = g.P.select_rows(interference).select_columns(cols)
-        if any(e and not e.is_base() for row in entries.rows for e in row):
-            raise StructuralFailureError("interference entry outside the base field")
-        kernel = entries.right_kernel_basis()
-        a = a @ kernel
-        rhs = (Mat(f, [rhs], len(cols)) @ kernel).rows[0]
-    try:
-        x = a.solve_left(rhs)
-    except (NoSolution, Underdetermined) as exc:
-        raise StructuralFailureError(f"{stage} solve degenerate: {type(exc).__name__}") from None
-    return dict(zip(unknowns, x)), k + cols[-1]
+    R, pivots = Mat(f, [[P[i][c] for i in order] + [y[k + c] - v] for c, v in zip(cols, known)],
+                    len(order) + 1).rref()
+    if len(order) in pivots:
+        raise StructuralFailureError(f"{stage} solve degenerate: NoSolution")
+    x = {order[c]: R.rows[r][-1] for r, c in enumerate(pivots) if c >= len(interference)}
+    if len(x) < len(unknowns):
+        raise StructuralFailureError(f"{stage} solve degenerate: Underdetermined")
+    return x, k + cols[-1]
 
 
 def decode_structured(g: GeneratorSet, y, kind: str) -> DecodeReport:
     """Structured decode of one received block whose erasures classify_pattern
-    names kind.  Stages as in the module docstring."""
+    names kind, else DecoderError.  Stages as in the module docstring."""
     d = g.derived
     k, B, N, delta = d.k, d.B, d.N, d.delta
     erased = _erased_positions(g, y)
+    if kind != event_kind(sorted(erased), B, N):
+        raise DecoderError(f"kind {kind!r} does not name the loss event {sorted(erased)}")
     vals = {i: y[i] for i in range(k) if i not in erased}
     times = {i: i for i in vals}
     u_outer = sorted(i for i in erased if i < delta or B <= i < k)

@@ -8,15 +8,14 @@ constant-term-first) so that every exported matrix is bit-reproducible.
 
 No tables, no floating point: all operations are exact integer arithmetic.
 An element is stored packed, as one integer with coefficient i in Kronecker
-slot i, and the coefficient tuple is derived from it on demand.  Addition,
-subtraction and negation act on every slot at once with a fixed number of
-big-integer operations: add, then subtract q from each slot that holds q or
-more, found by a per-slot bias that carries exactly those slots into the
-slot's top bit.  A product is one big-integer multiply of the packed
-operands followed by one reduction, which folds each slot of degree >= m
-back through alpha^d mod the modulus and takes every slot mod q, many slots
-per multiply-shift.  ``Field.evaluate_plans`` is the one sum of products: it
-sums raw products before that reduction (slots are wide enough for DOT_TERMS
+slot i, and the coefficient tuple is derived from it on demand.  A sum,
+difference, negation or product is one big-integer operation on the packed
+operands followed by one reduction, Field._reduce, which folds each slot of
+degree >= m back through alpha^d mod the modulus and takes every slot mod q,
+many slots per multiply-shift.  A sum has no slot of degree >= m, so it
+skips the fold; a difference first adds q to every slot, so no slot goes
+negative.  ``Field.evaluate_plans`` is the one sum of products: it sums raw
+products before that reduction (slots are wide enough for DOT_TERMS
 products, and a longer sum reduces in chunks), and the sums of a plan set
 reduce together, as blocks of one integer.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
@@ -218,17 +217,17 @@ class FieldElement:
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             raise _operand_error(f, other)
-        return FieldElement(f, f._wrap(self.pk + other.pk))
+        return FieldElement(f, f._reduce(self.pk + other.pk))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             raise _operand_error(f, other)
-        return FieldElement(f, f._wrap(self.pk + f._slot_q - other.pk))
+        return FieldElement(f, f._reduce(self.pk + f._slot_q - other.pk))
 
     def __neg__(self) -> "FieldElement":
         f = self.field
-        return FieldElement(f, f._wrap(f._slot_q - self.pk))
+        return FieldElement(f, f._reduce(f._slot_q - self.pk))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
@@ -316,10 +315,8 @@ class Field:
         self._mask = (1 << s) - 1
         self._low = (1 << (s * m)) - 1
         self._width = (2 * m - 1) * s  # _reduce's block: the slots of a raw product
-        # per slot: q, the bias that lifts q to the slot's top bit, that bit
+        # q in every slot: subtracting from it keeps each slot non-negative
         self._slot_q = self._pack([q] * m)
-        self._bias = self._pack([(1 << (s - 1)) - q] * m)
-        self._top = self._pack([1 << (s - 1)] * m)
         # alpha^d mod modulus for d in [m, 2m-2], packed
         self._red = [self._pack(_poly_mod([0] * d + [1], modulus, q)) for d in range(m, 2 * m - 1)]
         K = s + q.bit_length()  # _mod_slots: floor(x / q) = floor(x c / 2^K), x < 2^s
@@ -361,11 +358,6 @@ class Field:
         for c in reversed(coeffs):
             pk = (pk << s) | c
         return pk
-
-    def _wrap(self, v: int) -> int:
-        """Subtract q from every slot of v that holds q to 2q - 1.  The bias
-        carries exactly those slots into their top bit."""
-        return v - (((v + self._bias) & self._top) >> (self._slot - 1)) * self.q
 
     def _reduce(self, v: int, count: int = 1) -> int:
         """Reduce count raw sums of packed products, held as blocks of 2m - 1

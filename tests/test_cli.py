@@ -209,6 +209,7 @@ GOLDEN = [
                           "--len", "0", "--trials", "1"], 0),
     ("simulate_trials0_ex1", ["simulate", *EX1, "--trials", "0"], 0),
     ("simulate_long_ex2", ["simulate", *EX2, "--len", "3000", "--trials", "2", "--seed", "9"], 0),
+    ("verify_ex1", ["verify", *EX1, "--trials", "1"], 0),
 ]
 
 

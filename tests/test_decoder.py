@@ -1,16 +1,20 @@
+import functools
 import itertools
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamfec.channel import ErasurePattern, apply, enumerate_block_patterns
+from streamfec import decoder
+from streamfec.channel import ERASED, ErasurePattern, apply, enumerate_block_patterns
 from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
 from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pattern,
                                deadline_table, decode_structured, oracle_decode,
                                oracle_plan)
 from streamfec.gf import GF, FieldMismatchError
-from streamfec.matrix import Mat
+from streamfec.matrix import Mat, NoSolution, Underdetermined
 from streamfec.stream import StreamEncoder
 
 from conftest import GATE_CODES, SMALL_CODES, mutated, random_block
@@ -364,6 +368,100 @@ class TestStructuredPipelines:
         with pytest.raises(StructuralFailureError) as exc:
             decode_structured(bad, y, kind)
         assert str(exc.value) == "interference entry outside the base field"
+
+    def test_inconsistent_parity_is_no_solution(self, ex1):
+        """With symbol 0 of ex1 erased, the outer solve reads parity columns
+        0..2 for one unknown; a corrupted y[k + 1] leaves no solution, which
+        is checked before the rank."""
+        y = received(ex1, random_block(ex1, random.Random(15)), [0])
+        y[ex1.derived.k + 1] = y[ex1.derived.k + 1] + ex1.field().one
+        with pytest.raises(StructuralFailureError) as exc:
+            decode_structured(ex1, y, "arbitrary")
+        assert str(exc.value) == "outer solve degenerate: NoSolution"
+
+    @pytest.mark.parametrize("fixture, erased, kind", [("ex1", [2, 3, 4, 5], "arbitrary"),
+                                                       ("ex1", [2, 3, 4, 5], "bogus"),
+                                                       ("ex2", [1, 6], "burst")])
+    def test_kind_must_name_the_loss_event(self, fixture, erased, kind, request):
+        """A kind that is not classify_pattern's is refused before any solve.
+        On the arbitrary schedule ex1's burst {2..5} would report symbol 5 at
+        time 9, not its burst time 11, and an unknown kind would run the
+        burst schedule."""
+        g = request.getfixturevalue(fixture)
+        y = received(g, random_block(g, random.Random(16)), erased)
+        with pytest.raises(DecoderError) as exc:
+            decode_structured(g, y, kind)
+        assert str(exc.value) == f"kind {kind!r} does not name the loss event {erased}"
+
+
+def _solve_by_kernel(g, y, vals, unknowns, cols, interference, stage):
+    """decoder._solve as a right kernel, two products and solve_left: the
+    interference rows are nulled out by their kernel K over GF(q) and the
+    unknowns solved from x (A K) = rhs K.  The reference for the one
+    elimination."""
+    k, f, steps = g.derived.k, g.field(), g.encoder_plan
+    in_system = set(unknowns) | set(interference)
+    for c in cols:
+        for i, _ in steps[c]:
+            if i not in vals and i not in in_system:
+                raise StructuralFailureError(
+                    f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
+    known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
+    rhs = [y[k + c] - v for c, v in zip(cols, known)]
+    a = g.P.select_rows(unknowns).select_columns(cols)
+    if interference:
+        entries = g.P.select_rows(interference).select_columns(cols)
+        if any(e and not e.is_base() for row in entries.rows for e in row):
+            raise StructuralFailureError("interference entry outside the base field")
+        kernel = entries.right_kernel_basis()
+        a = a @ kernel
+        rhs = (Mat(f, [rhs], len(cols)) @ kernel).rows[0]
+    try:
+        x = a.solve_left(rhs)
+    except (NoSolution, Underdetermined) as exc:
+        raise StructuralFailureError(f"{stage} solve degenerate: {type(exc).__name__}") from None
+    return dict(zip(unknowns, x)), k + cols[-1]
+
+
+@functools.cache
+def _gate_code(params):
+    g = build_code(validate_and_derive(StreamParams(*params)))
+    d = g.derived
+    return g, enumerate_block_patterns(d.n, d.B, d.N)
+
+
+def _structured_outcome(g, y, kind):
+    """The report of decode_structured, or the text of its structural failure."""
+    try:
+        return decode_structured(g, y, kind)
+    except StructuralFailureError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_solve_matches_kernel_reference(data):
+    """On a gate code, possibly with one entry of P raised by one, zeroed or
+    raised by alpha, and a single-event pattern, possibly with one received
+    parity symbol corrupted, the one-elimination solve gives the report or
+    the failure text of the kernel reference."""
+    g, patterns = _gate_code(data.draw(st.sampled_from(GATE_CODES)))
+    d, f = g.derived, g.field()
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, d.k - 1))
+        c = data.draw(st.integers(0, d.n - d.k - 1))
+        change = data.draw(st.sampled_from([None, -g.P.rows[i][c], f.alpha]))
+        g = mutated(g, i, c, change)
+    p = data.draw(st.sampled_from(patterns))
+    y = apply(encode_block(random_block(g, random.Random(data.draw(st.integers(0, 999)))), g), p)
+    parity = [t for t in range(d.k, d.n) if y[t] is not ERASED]
+    if parity and data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(parity))
+        y[t] = y[t] + f.one
+    kind = classify_pattern(p, d)
+    got = _structured_outcome(g, y, kind)
+    with patch.object(decoder, "_solve", _solve_by_kernel):
+        assert got == _structured_outcome(g, y, kind)
 
 
 class TestDeadlineTable:
