@@ -24,7 +24,7 @@ for label, erased in [("burst of B=5", range(0, 5)),
     kind = classify_pattern(pattern, d)
     y = apply(codeword, pattern)
     orc = oracle_decode(g, y)
-    st = decode_structured(g, y, kind)
+    st = decode_structured(g, y)
     assert st.values() == orc.values() == source
     print(f"{label} -> routed to the {kind} pipeline")
     for i, (o, s) in enumerate(zip(orc.symbols, st.symbols)):

@@ -3,7 +3,7 @@
 from .gf import GF, Field, FieldElement, FieldError, FieldMismatchError, frobenius, alpha_power_basis
 from .matrix import Mat, LinalgError, NoSolution, Underdetermined, cauchy_parity
 from .codes import (MdsCode, MrdCode, CodeError, build_mds, verify_mds,
-                    build_gabidulin, verify_mrd, subcode_columns)
+                    build_gabidulin, certify_gabidulin)
 from .construction import (StreamParams, DerivedParams, GeneratorSet, ParamError,
                            capacity, validate_and_derive, build_code, constituents, encode_block)
 from .channel import (ERASED, ErasurePattern, ChannelError, is_admissible,

@@ -6,13 +6,18 @@ field GF(q^m) with m >= n; its defining property is stronger than MDS: the
 product of its generator with any full-column-rank matrix over the base
 field keeps full rank, which is exactly what interference cancellation in
 the decoder relies on.
+
+Gabidulin's theorem (1985) makes that property exact.  Take n points of
+GF(q^m) that are linearly independent over GF(q), so n <= m.  The k x n
+Moore matrix whose row i holds the q^i-th powers of the points generates an
+MRD code, and so does every generator with the same row space.
+certify_gabidulin checks exactly these conditions.  Puncturing columns keeps
+the remaining points independent, so a punctured Gabidulin code is one too.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 from .channel import BudgetError
 from .gf import GF, Field, frobenius, alpha_power_basis
@@ -101,44 +106,20 @@ def build_gabidulin(n: int, k: int, field: Field) -> MrdCode:
     return MrdCode(n=n, k=k, gen_moore=moore, gen_sys=moore.systematize())
 
 
-def _random_full_rank(field: Field, nrows: int, ncols: int, rng: random.Random) -> Mat:
-    """Random base-field nrows x ncols matrix of full column rank, by rejection."""
-    base = GF(field.q)
-    while True:
-        cand = Mat(base, [[base(rng.randrange(base.q)) for _ in range(ncols)]
-                          for _ in range(nrows)])
-        if cand.rank() == ncols:
-            return cand
-
-
-def verify_mrd(code: MrdCode, trials: int = 100, seed: int = 0) -> bool:
-    """Randomized rank-metric check on the systematic generator.
-
-    For each trial, draw a full-column-rank n x k matrix T over the base
-    field and require gen_sys @ T to have rank k.  Any failure certifies
-    that the code is not MRD; success over many trials is strong evidence.
-    """
-    rng = random.Random(seed)
-    ext = code.gen_sys.field
-    for _ in range(trials):
-        t = _random_full_rank(ext, code.n, code.k, rng).embed_into(ext)
-        if (code.gen_sys @ t).rank() != code.k:
+def certify_gabidulin(code: MrdCode) -> bool:
+    """Whether code meets Gabidulin's theorem, checked exactly: row i of
+    gen_moore is the q^i-Frobenius image of row 0, the n points in row 0
+    are linearly independent over GF(q), and gen_sys has rank k and spans
+    the rows of gen_moore.  False when n > m: no n points are independent."""
+    n, k, moore, sys_ = code.n, code.k, code.gen_moore, code.gen_sys
+    f = moore.field
+    shapes = (moore.nrows, moore.ncols, sys_.nrows, sys_.ncols)
+    if n > f.m or shapes != (k, n, k, n):
+        return False
+    if k:
+        base = GF(f.q)
+        points = Mat(base, [[base(c) for c in p.coeffs] for p in moore.rows[0]], f.m)
+        if points.rank() != n or any(moore.rows[i] != [p ** f.q for p in moore.rows[i - 1]]
+                                     for i in range(1, k)):
             return False
-    return True
-
-
-def subcode_columns(code: MrdCode, idx: Sequence[int]) -> MrdCode:
-    """Column-punctured code on n' > k strictly increasing column indices.
-
-    Column sub-sampling of a systematic Gabidulin generator preserves the
-    MRD property as long as more than k columns survive.
-    """
-    idx = list(idx)
-    if len(idx) <= code.k:
-        raise CodeError(f"need more than k = {code.k} columns, got {len(idx)}")
-    return MrdCode(
-        n=len(idx),
-        k=code.k,
-        gen_moore=code.gen_moore.select_columns(idx),
-        gen_sys=code.gen_sys.select_columns(idx),
-    )
+    return Mat(f, moore.rows + sys_.rows, n).rank() == k == sys_.rank()

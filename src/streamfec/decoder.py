@@ -227,14 +227,14 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     return x, k + cols[-1]
 
 
-def decode_structured(g: GeneratorSet, y, kind: str) -> DecodeReport:
-    """Structured decode of one received block whose erasures classify_pattern
-    names kind, else DecoderError.  Stages as in the module docstring."""
+def decode_structured(g: GeneratorSet, y) -> DecodeReport:
+    """Structured decode of one received block, routed by the kind that
+    classify_pattern gives its erasures (DecoderError if they are not one
+    loss event).  Stages as in the module docstring."""
     d = g.derived
     k, B, N, delta = d.k, d.B, d.N, d.delta
     erased = _erased_positions(g, y)
-    if kind != event_kind(sorted(erased), B, N):
-        raise DecoderError(f"kind {kind!r} does not name the loss event {sorted(erased)}")
+    kind = classify_pattern(ErasurePattern.make(d.n, erased), d)
     vals = {i: y[i] for i in range(k) if i not in erased}
     times = {i: i for i in vals}
     u_outer = sorted(i for i in erased if i < delta or B <= i < k)

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from streamfec.codes import MrdCode
 from streamfec.construction import ParamError, StreamParams, validate_and_derive, build_code
 from streamfec.gf import Field
 from streamfec.matrix import Mat
@@ -67,6 +68,12 @@ def mat_to_json(a):
 
 def mat_from_json(text):
     return Mat.from_json_obj(json.loads(text))
+
+
+def punctured(code, idx):
+    """The MRD code on the columns idx of code, its points among them."""
+    return MrdCode(len(idx), code.k, code.gen_moore.select_columns(idx),
+                   code.gen_sys.select_columns(idx))
 
 
 def mutated(g, i, c, delta=None):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from streamfec.gf import GF
+from streamfec.gf import GF, frobenius
 from streamfec.matrix import Mat
-from streamfec.codes import (BudgetError, CodeError, MdsCode, build_gabidulin,
-                             build_mds, subcode_columns, verify_mds, verify_mrd)
+from streamfec.codes import (BudgetError, CodeError, MdsCode, MrdCode, build_gabidulin,
+                             build_mds, certify_gabidulin, verify_mds)
+from streamfec.construction import constituents
 
-from conftest import mat, zeros
+from conftest import mat, punctured, zeros
 
 
 class TestBuildMds:
@@ -45,6 +46,12 @@ class TestVerifyMds:
         f5 = GF(5)
         bad = MdsCode(n=4, k=2, gen=Mat.identity(f5, 2).hstack(zeros(f5, 2, 2)))
         assert not verify_mds(bad)
+
+    def test_repeated_parity_column_fails(self):
+        """The worst 2-subset, the two equal parity columns, has rank 1 = k - 1:
+        a check that only flags rank below k - 1 would pass this code."""
+        f5 = GF(5)
+        assert not verify_mds(MdsCode(n=4, k=2, gen=mat(f5, [[1, 0, 1, 1], [0, 1, 2, 2]])))
 
     def test_budget_refusal(self):
         f = GF(23)
@@ -102,33 +109,103 @@ class TestBuildGabidulin:
                 warnings.warn(f"base-field parity entries at {base_hits}")
 
 
+def sampled_mrd_check(code, trials=100, seed=0):
+    """The sampled MRD check that certify_gabidulin replaces: gen_sys @ T
+    keeps rank k for random full-column-rank n x k matrices T over GF(q).
+    A failure disproves MRD; a pass proves nothing."""
+    rng = random.Random(seed)
+    ext = code.gen_sys.field
+    base = GF(ext.q)
+    for _ in range(trials):
+        t = None
+        while t is None or t.rank() != code.k:
+            t = Mat(base, [[base(rng.randrange(base.q)) for _ in range(code.k)]
+                           for _ in range(code.n)])
+        if (code.gen_sys @ t.embed_into(ext)).rank() != code.k:
+            return False
+    return True
+
+
+def systematized(moore_rows, n):
+    """The code whose Moore generator has moore_rows, gen_sys derived."""
+    moore = Mat(moore_rows[0][0].field, moore_rows, n)
+    return MrdCode(n, len(moore_rows), moore, moore.systematize())
+
+
+def dependent_point(code):
+    """code with its last point replaced by the sum of the first two."""
+    points = list(code.gen_moore.rows[0])
+    points[-1] = points[0] + points[1]
+    return systematized([[frobenius(p, i) for p in points] for i in range(code.k)], code.n)
+
+
+def off_frobenius(code):
+    """code with one entry of its last Moore row raised by alpha and gen_sys
+    re-derived, so only the Frobenius relation breaks."""
+    rows = code.gen_moore.copy_rows()
+    rows[-1][-1] = rows[-1][-1] + rows[-1][-1].field.alpha
+    return systematized(rows, code.n)
+
+
+def off_row_space(code):
+    """code with one parity entry of gen_sys raised by one."""
+    rows = code.gen_sys.copy_rows()
+    rows[0][-1] = rows[0][-1] + rows[0][-1].field.one
+    return MrdCode(code.n, code.k, code.gen_moore, Mat(code.gen_sys.field, rows, code.n))
+
+
 class TestVerifyMrd:
+    """The MRD property, certified by Gabidulin's theorem."""
+
     def test_identity_code(self):
-        assert verify_mrd(build_gabidulin(4, 4, GF(3, 4)), trials=10, seed=0)
+        assert certify_gabidulin(build_gabidulin(4, 4, GF(3, 4)))
 
     def test_example_scale_code(self):
-        assert verify_mrd(build_gabidulin(5, 4, GF(7, 9)), trials=100, seed=0)
+        code = build_gabidulin(5, 4, GF(7, 9))
+        assert certify_gabidulin(code) and sampled_mrd_check(code)
 
     def test_corrupted_generator_detected(self):
         f = GF(7, 9)
         code = build_gabidulin(5, 4, f)
         rows = code.gen_sys.copy_rows()
         rows[3] = list(rows[2])  # duplicate row: rank drops below k
-        from streamfec.codes import MrdCode
         bad = MrdCode(n=5, k=4, gen_moore=code.gen_moore, gen_sys=Mat(f, rows, 5))
-        assert not verify_mrd(bad, trials=100, seed=0)
+        assert not certify_gabidulin(bad)
+        assert not sampled_mrd_check(bad)
+
+    def test_zero_dimension_and_full_length(self):
+        for n, k, q, m in [(3, 0, 2, 3), (4, 4, 3, 4), (9, 4, 7, 9), (6, 3, 2, 6)]:
+            assert certify_gabidulin(build_gabidulin(n, k, GF(q, m))), (n, k, q, m)
+
+    def test_longer_than_extension_degree(self):
+        f = GF(2, 3)
+        assert not certify_gabidulin(MrdCode(4, 0, Mat(f, [], 4), Mat(f, [], 4)))
+
+    def test_moore_rows_must_number_k(self):
+        """Without its last Moore row, gen_moore's rows still lie in the row
+        space of gen_sys, but no longer span it."""
+        code = build_gabidulin(5, 4, GF(7, 9))
+        short = code.gen_moore.select_rows(range(3))
+        assert not certify_gabidulin(MrdCode(5, 4, short, code.gen_sys))
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
+    @pytest.mark.parametrize("defect", [dependent_point, off_frobenius, off_row_space])
+    def test_planted_defect_fails(self, fixture, defect, request):
+        code = constituents(request.getfixturevalue(fixture).derived)[1]
+        assert certify_gabidulin(code)
+        assert not certify_gabidulin(defect(code))
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
+    def test_sampled_check_passes_a_dependent_point(self, fixture, request):
+        """The defect the certificate exists for: 100 sampled T (seed 0)
+        all keep rank k on a Moore code whose points are dependent."""
+        bad = dependent_point(constituents(request.getfixturevalue(fixture).derived)[1])
+        assert sampled_mrd_check(bad, trials=100, seed=0)
+        assert not certify_gabidulin(bad)
 
 
 class TestSubcodeColumns:
-    def test_all_columns_is_original(self):
-        code = build_gabidulin(5, 3, GF(2, 5))
-        sub = subcode_columns(code, [0, 1, 2, 3, 4])
-        assert sub.gen_sys == code.gen_sys
-
-    def test_too_few_columns_rejected(self):
-        code = build_gabidulin(5, 3, GF(2, 5))
-        with pytest.raises(CodeError):
-            subcode_columns(code, [0, 1, 2])
+    """Column puncturings of Gabidulin codes, certified."""
 
     def test_random_subcodes_stay_rank_optimal(self):
         rng = random.Random(0)
@@ -139,13 +216,13 @@ class TestSubcodeColumns:
             code = codes[trial % len(codes)]
             size = rng.randint(code.k + 1, code.n)
             idx = sorted(rng.sample(range(code.n), size))
-            assert verify_mrd(subcode_columns(code, idx), trials=30, seed=trial)
+            assert certify_gabidulin(punctured(code, idx))
 
     def test_prefix_subcode(self):
         code = build_gabidulin(9, 4, GF(7, 9))
-        sub = subcode_columns(code, list(range(7)))
+        sub = punctured(code, list(range(7)))
         assert (sub.n, sub.k) == (7, 4)
-        assert verify_mrd(sub, trials=50, seed=3)
+        assert certify_gabidulin(sub)
 
 
 def test_json_bundle_shapes():

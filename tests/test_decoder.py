@@ -84,7 +84,7 @@ class TestOracle:
         with pytest.raises(error):
             oracle_decode(ex1, y)
         with pytest.raises(error):
-            decode_structured(ex1, y, "arbitrary")
+            decode_structured(ex1, y)
 
 
 def unit(g, i):
@@ -240,7 +240,7 @@ class TestStructuredMatchesOracle:
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = received(g, s, p.erased)
             ref = oracle_decode(g, y)
-            got = decode_structured(g, y, classify_pattern(p, d))
+            got = decode_structured(g, y)
             assert ref.ok() and got.ok()
             assert got.values() == s == ref.values()
             bounds = table[classify_pattern(p, d)]
@@ -256,7 +256,7 @@ class TestStructuredMatchesOracle:
         s = random_block(g, random.Random(12))
         lines = []
         for p in enumerate_block_patterns(d.n, d.B, d.N):
-            rep = decode_structured(g, received(g, s, p.erased), classify_pattern(p, d))
+            rep = decode_structured(g, received(g, s, p.erased))
             lines.append(f"{p.to_text()}: " + " ".join(str(x.recovery_time) for x in rep.symbols))
         golden = Path(__file__).parent / "golden" / f"structured_times_{fixture}.txt"
         assert "\n".join(lines) + "\n" == golden.read_text()
@@ -269,8 +269,7 @@ class TestStructuredMatchesOracle:
             s = random_block(g, rng)
             for p in enumerate_block_patterns(d.n, d.B, d.N):
                 y = received(g, s, p.erased)
-                kind = classify_pattern(p, d)
-                assert decode_structured(g, y, kind).values() == s == oracle_decode(g, y).values()
+                assert decode_structured(g, y).values() == s == oracle_decode(g, y).values()
 
 
 class TestEquivalenceByLinearity:
@@ -289,7 +288,7 @@ class TestEquivalenceByLinearity:
             for u in units:
                 y = received(g, u, p.erased)
                 assert oracle_decode(g, y).values() == u, p.erased
-                assert decode_structured(g, y, classify_pattern(p, d)).values() == u, p.erased
+                assert decode_structured(g, y).values() == u, p.erased
 
 
 class TestStructuredPipelines:
@@ -297,14 +296,14 @@ class TestStructuredPipelines:
         rng = random.Random(8)
         s = random_block(ex1, rng)
         y = received(ex1, s, range(2, 7))
-        rep = decode_structured(ex1, y, "burst")
+        rep = decode_structured(ex1, y)
         assert rep.values() == s
 
     def test_arbitrary_dispatch(self, ex2):
         rng = random.Random(9)
         s = random_block(ex2, rng)
         y = received(ex2, s, [1, 6])
-        rep = decode_structured(ex2, y, "arbitrary")
+        rep = decode_structured(ex2, y)
         assert rep.values() == s
 
     def test_mutated_generator_detected(self, ex1):
@@ -317,7 +316,7 @@ class TestStructuredPipelines:
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = apply(x, p)
             try:
-                rep = decode_structured(bad, y, classify_pattern(p, d))
+                rep = decode_structured(bad, y)
             except StructuralFailureError:
                 wrong += 1
                 continue
@@ -339,7 +338,7 @@ class TestStructuredPipelines:
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             y = apply(x, p)
             if oracle_decode(bad, y).ok():
-                assert decode_structured(bad, y, classify_pattern(p, d)).values() == s, p.to_text()
+                assert decode_structured(bad, y).values() == s, p.to_text()
                 checked += 1
         assert checked > 0
 
@@ -352,7 +351,7 @@ class TestStructuredPipelines:
         x = encode_block(s, bad)
         for p in enumerate_block_patterns(d.n, d.B, d.N):
             try:
-                rep = decode_structured(bad, apply(x, p), classify_pattern(p, d))
+                rep = decode_structured(bad, apply(x, p))
             except StructuralFailureError:
                 continue
             assert rep.values() == s, p.to_text()
@@ -364,9 +363,8 @@ class TestStructuredPipelines:
         in GF(q), so no GF(q) projection can cancel row 2."""
         bad = mutated(ex1, 2, 2, ex1.field().alpha)
         y = received(bad, random_block(bad, random.Random(14)), [0, 2])
-        kind = classify_pattern(ErasurePattern.make(12, [0, 2]), ex1.derived)
         with pytest.raises(StructuralFailureError) as exc:
-            decode_structured(bad, y, kind)
+            decode_structured(bad, y)
         assert str(exc.value) == "interference entry outside the base field"
 
     def test_inconsistent_parity_is_no_solution(self, ex1):
@@ -376,22 +374,25 @@ class TestStructuredPipelines:
         y = received(ex1, random_block(ex1, random.Random(15)), [0])
         y[ex1.derived.k + 1] = y[ex1.derived.k + 1] + ex1.field().one
         with pytest.raises(StructuralFailureError) as exc:
-            decode_structured(ex1, y, "arbitrary")
+            decode_structured(ex1, y)
         assert str(exc.value) == "outer solve degenerate: NoSolution"
 
-    @pytest.mark.parametrize("fixture, erased, kind", [("ex1", [2, 3, 4, 5], "arbitrary"),
-                                                       ("ex1", [2, 3, 4, 5], "bogus"),
-                                                       ("ex2", [1, 6], "burst")])
-    def test_kind_must_name_the_loss_event(self, fixture, erased, kind, request):
-        """A kind that is not classify_pattern's is refused before any solve.
-        On the arbitrary schedule ex1's burst {2..5} would report symbol 5 at
-        time 9, not its burst time 11, and an unknown kind would run the
-        burst schedule."""
-        g = request.getfixturevalue(fixture)
-        y = received(g, random_block(g, random.Random(16)), erased)
+    def test_burst_is_routed_by_its_erasures(self, ex1):
+        """ex1's burst {2..5} runs the burst schedule, which recovers symbol
+        5 at time 11; the arbitrary schedule would report it at time 9."""
+        s = random_block(ex1, random.Random(16))
+        rep = decode_structured(ex1, received(ex1, s, [2, 3, 4, 5]))
+        assert rep.values() == s
+        assert rep.symbols[5].recovery_time == 11
+
+    def test_two_event_pattern_is_refused(self, ex1):
+        """{0, 1, 10, 11} is two short bursts, not one loss event: refused
+        before any solve, naming the pattern."""
+        y = received(ex1, random_block(ex1, random.Random(17)), [0, 1, 10, 11])
         with pytest.raises(DecoderError) as exc:
-            decode_structured(g, y, kind)
-        assert str(exc.value) == f"kind {kind!r} does not name the loss event {erased}"
+            decode_structured(ex1, y)
+        assert str(exc.value) == ("pattern (0, 1, 10, 11) is neither one burst of length "
+                                  "in (3, 5] nor at most 3 erasures")
 
 
 def _solve_by_kernel(g, y, vals, unknowns, cols, interference, stage):
@@ -430,10 +431,10 @@ def _gate_code(params):
     return g, enumerate_block_patterns(d.n, d.B, d.N)
 
 
-def _structured_outcome(g, y, kind):
+def _structured_outcome(g, y):
     """The report of decode_structured, or the text of its structural failure."""
     try:
-        return decode_structured(g, y, kind)
+        return decode_structured(g, y)
     except StructuralFailureError as exc:
         return str(exc)
 
@@ -458,10 +459,9 @@ def test_solve_matches_kernel_reference(data):
     if parity and data.draw(st.booleans()):
         t = data.draw(st.sampled_from(parity))
         y[t] = y[t] + f.one
-    kind = classify_pattern(p, d)
-    got = _structured_outcome(g, y, kind)
+    got = _structured_outcome(g, y)
     with patch.object(decoder, "_solve", _solve_by_kernel):
-        assert got == _structured_outcome(g, y, kind)
+        assert got == _structured_outcome(g, y)
 
 
 class TestDeadlineTable:
@@ -487,8 +487,7 @@ class TestDeadlineTable:
 def test_report_json_shape(ex1):
     rng = random.Random(11)
     s = random_block(ex1, rng)
-    kind = classify_pattern(ErasurePattern.make(12, [0, 4]), ex1.derived)
-    rep = decode_structured(ex1, received(ex1, s, [0, 4]), kind)
+    rep = decode_structured(ex1, received(ex1, s, [0, 4]))
     obj = rep.to_json_obj()
     assert len(obj["symbols"]) == 7
     first = obj["symbols"][0]
