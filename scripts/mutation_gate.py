@@ -1,0 +1,135 @@
+"""Mutation gate: every listed mutant of src must be killed by its tests.
+
+A mutant is one exact text replacement in one file, with the reason the
+original text matters and the tests that must fail once it is replaced.
+Each mutant runs in a fresh temporary copy of the repository, under a
+timeout; a test run that fails or times out kills it, and the report says
+which.  A run that stops for any other reason, such as a test that cannot
+be collected, is an error, not a kill.  The unmutated copy must first pass
+every named test, so a kill is the mutant's doing.  The old text must occur
+exactly once in its file, so a mutant that no longer matches the code
+fails the gate instead of passing it silently.  A change that adds a check
+adds the mutant that removes it.
+
+Usage:  python scripts/mutation_gate.py
+Exit status 0 iff the baseline passes and every mutant is killed.  Needs
+pytest and hypothesis; uses nothing else outside the standard library.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 60  # per pytest run; the named tests take seconds
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    reason: str
+    tests: tuple[str, ...]  # pytest node ids that must fail
+
+
+MUTANTS = (
+    Mutant("field-check-passes-all", "src/streamfec/gf.py",
+           "                raise _operand_error(self, v)\n", "                pass\n",
+           "Field.check is the one membership test behind every boundary below.",
+           ("tests/test_gf.py::TestPackedArithmetic::test_check_rejects_the_first_non_element",)),
+    Mutant("block-symbols-unchecked", "src/streamfec/decoder.py",
+           "    g.field().check(v for v in y if v is not ERASED)\n", "",
+           "The block decoders read y through a trusting kernel; a symbol no plan "
+           "reads is otherwise never checked.",
+           ("tests/test_decoder.py::TestOracle::test_received_symbol_no_plan_reads_checked",)),
+    Mutant("stream-symbols-unchecked", "src/streamfec/stream.py",
+           "    zero.field.check(v for p in received if p is not ERASED for v in p)"
+           "  # read by a plan or not\n", "",
+           "stream_decode reads received symbols through a trusting kernel.",
+           ("tests/test_stream.py::TestDecode::test_received_symbol_no_plan_reads_checked",)),
+    Mutant("matmul-entries-unchecked", "src/streamfec/matrix.py",
+           "        f.check(v for r in self.rows + other.rows for v in r)\n", "",
+           "Mat does not check its entries; the product's kernel trusts them.",
+           ("tests/test_matrix.py::TestMul::test_foreign_entries_rejected",)),
+    Mutant("parity-shape-unchecked", "src/streamfec/construction.py",
+           "        if (self.P.nrows, self.P.ncols) != (self.derived.k, self.derived.B):\n",
+           "        if False:\n",
+           "A k x 4 P for an n = 12 code encodes 11-symbol codewords, and the "
+           "oracle reports every symbol recovered.",
+           ("tests/test_construction.py::TestCodeIsItsParity::test_wrong_shape_parity_rejected",)),
+    Mutant("parity-entries-unchecked", "src/streamfec/construction.py",
+           "        self.P.field.check(v for r in self.P.rows for v in r)\n", "",
+           "Every plan coefficient is an entry of P, and the kernel trusts them.",
+           ("tests/test_construction.py::TestCodeIsItsParity::test_foreign_parity_entry_rejected",)),
+    Mutant("verify-mds-rank-k-minus-2", "src/streamfec/codes.py",
+           "if gen.select_columns(list(cols)).rank() != k:",
+           "if gen.select_columns(list(cols)).rank() < k - 1:",
+           "A non-MDS code whose worst k-subset has rank k - 1 must fail the check.",
+           ("tests/test_codes.py::TestVerifyMds::test_repeated_parity_column_fails",)),
+    Mutant("reduce-never-folds", "src/streamfec/gf.py",
+           "        if v & low != v:\n", "        if False:\n",
+           "A product's slots of degree >= m must fold back through the modulus.",
+           ("tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference",)),
+)
+
+
+def _copy_repo(dest: Path) -> Path:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "build"))
+    return dest
+
+
+def _run_tests(copy: Path, tests) -> str:
+    """'passed', 'failed', 'timeout' or 'error' for pytest on the tests in copy."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "passed", 1: "failed"}.get(proc.returncode, "error")
+
+
+def _mutate(copy: Path, mutant: Mutant) -> None:
+    path = copy / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"mutant {mutant.name}: old text occurs {text.count(mutant.old)} "
+                         f"times in {mutant.file}, expected once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main() -> int:
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        baseline = _run_tests(_copy_repo(Path(tmp) / "baseline"), named)
+        print(f"baseline: named tests {baseline}")
+        if baseline != "passed":
+            return 1
+        killed = 0
+        for i, mutant in enumerate(MUTANTS):
+            t0 = time.monotonic()
+            copy = _copy_repo(Path(tmp) / f"mutant{i}")
+            _mutate(copy, mutant)
+            outcome = _run_tests(copy, mutant.tests)
+            shutil.rmtree(copy)
+            verdict = {"failed": "killed", "timeout": "killed (timeout)",
+                       "passed": "SURVIVED", "error": "ERROR"}[outcome]
+            print(f"{verdict:17} {mutant.name} ({time.monotonic() - t0:.1f} s): {mutant.reason}")
+            killed += outcome in ("failed", "timeout")
+    print(f"{killed}/{len(MUTANTS)} mutants killed in {time.monotonic() - start:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -96,14 +96,19 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A code is its parity matrix P: G and the encoder plan are views of it,
-    and each instance (``replace`` too) starts with no cached oracle plans.
-    The constituent codes P was assembled from are not held; ``constituents``
-    rebuilds them from ``derived``."""
+    """A code is its parity matrix P, k x B with every entry in P.field: G
+    and the encoder plan are views of it, and each instance (``replace``
+    too) checks P and starts with no cached oracle plans.  The constituent
+    codes P was assembled from are not held; ``constituents`` rebuilds them."""
 
     derived: DerivedParams
     P: Mat
     _plan_cache: dict = dc_field(init=False, default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if (self.P.nrows, self.P.ncols) != (self.derived.k, self.derived.B):
+            raise ParamError(f"P must be {self.derived.k} x {self.derived.B}, got {self.P!r}")
+        self.P.field.check(v for r in self.P.rows for v in r)
 
     def field(self) -> Field:
         return self.P.field

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf import FieldElement, _operand_error
+from .gf import FieldElement
 from .matrix import Mat
 from .channel import ERASED, ErasurePattern, event_kind
 from .construction import DerivedParams, GeneratorSet
@@ -105,9 +105,7 @@ def _erased_positions(g: GeneratorSet, y) -> frozenset[int]:
     """The erased positions of one received block of n field elements."""
     if len(y) != g.derived.n:
         raise DecoderError(f"expected {g.derived.n} received symbols, got {len(y)}")
-    for v in y:
-        if v is not ERASED and (v.__class__ is not FieldElement or v.field is not g.P.field):
-            raise _operand_error(g.P.field, v)
+    g.field().check(v for v in y if v is not ERASED)
     return frozenset(t for t, v in enumerate(y) if v is ERASED)
 
 

@@ -17,7 +17,8 @@ skips the fold; a difference first adds q to every slot, so no slot goes
 negative.  ``Field.evaluate_plans`` is the one sum of products: it sums raw
 products before that reduction (slots are wide enough for DOT_TERMS
 products, and a longer sum reduces in chunks), and the sums of a plan set
-reduce together, as blocks of one integer.
+reduce together, as blocks of one integer.  It trusts its operands:
+Field.check checks each element once, where it enters the library.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
 modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
 rounds of one power by q and one gcd mod the modulus, so no step of the
@@ -342,6 +343,12 @@ class Field:
             raise FieldError(f"coefficients must be int residues in [0, {self.q}), got {coeffs}")
         return FieldElement(self, self._pack(coeffs))
 
+    def check(self, values: Iterable) -> None:
+        """Raise TypeError or FieldMismatchError for the first value not in this field."""
+        for v in values:
+            if v.__class__ is not FieldElement or v.field is not self:
+                raise _operand_error(self, v)
+
     def embed(self, a: FieldElement) -> FieldElement:
         """Embed a prime-subfield element into this field."""
         if a.field is self:
@@ -397,24 +404,19 @@ class Field:
 
         Every linear map of the code is a plan set: the parities of a block
         or a packet, the symbols a pattern recovers, a right-hand side, a
-        row of a matrix product.  Both operands of every step are checked.
-        Each plan sums its raw products slot by slot, carry-free, reducing
-        every DOT_TERMS products; the sums are then packed as blocks and
-        reduced together: one reduction per plan set.
+        row of a matrix product.  It trusts its operands; callers check them
+        with Field.check.  Each plan sums its raw products slot by slot,
+        carry-free, reducing every DOT_TERMS products; the sums are then
+        packed as blocks and reduced together: one reduction per plan set.
         """
         w, packed, shift = self._width, 0, 0
         for steps in plans:
             acc = terms = 0
             for pos, coeff in steps:
-                v = x[pos]
-                if v.__class__ is not FieldElement or v.field is not self:
-                    raise _operand_error(self, v)
-                if coeff.__class__ is not FieldElement or coeff.field is not self:
-                    raise _operand_error(self, coeff)
                 if terms == DOT_TERMS:
                     # the reduced sum takes one product's room in each slot
                     acc, terms = self._reduce(acc), 1
-                acc += coeff.pk * v.pk
+                acc += coeff.pk * x[pos].pk
                 terms += 1
             packed |= acc << shift
             shift += w

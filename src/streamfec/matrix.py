@@ -99,11 +99,12 @@ class Mat:
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """The product; each row is one plan set, a plan per column of other
-        over the row's entries, so one reduction per row."""
+        """The product, its operands' entries checked first; each row is one
+        plan set, a plan per column of other, so one reduction per row."""
         f = _same_field(self, other)
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch in mul: {self.ncols} vs {other.nrows}")
+        f.check(v for r in self.rows + other.rows for v in r)
         plans = [tuple(enumerate(col)) for col in other.transpose().rows]
         return Mat(f, [f.evaluate_plans(plans, row) for row in self.rows], other.ncols)
 
@@ -261,10 +262,5 @@ def cauchy_parity(k: int, r: int, field: Field) -> Mat:
         raise LinalgError("Cauchy parity is constructed over the prime field")
     if k + r > field.q:
         raise LinalgError(f"field too small for Cauchy nodes: need q >= {k + r}, have {field.q}")
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(r):
-            row.append((field(i) - field(k + j)).inverse())
-        rows.append(row)
-    return Mat(field, rows, r)
+    return Mat(field, [[(field(i) - field(k + j)).inverse() for j in range(r)]
+                       for i in range(k)], r)

@@ -26,7 +26,6 @@ from . import decoder
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
 from .construction import GeneratorSet
 from .decoder import oracle_plan
-from .gf import FieldElement, _operand_error
 
 _MISS = float("inf")  # the latency of a symbol not recovered by its deadline
 
@@ -155,10 +154,7 @@ def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
     if not values:
         return None, report
     zero = g.field().zero
-    bad = [v for p in received if p is not ERASED for v in p
-           if v.__class__ is not FieldElement or v.field is not zero.field]
-    if bad:  # as evaluate_plans rejects an operand, read by a plan or not
-        raise _operand_error(zero.field, bad[0])
+    zero.field.check(v for p in received if p is not ERASED for v in p)  # read by a plan or not
     packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
     for t, (_, reads, steps) in plans.items():
         x = [zero if t + off < 0 else received[t + off][row] for off, row in reads]

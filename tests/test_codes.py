@@ -98,15 +98,18 @@ class TestBuildGabidulin:
         with pytest.raises(CodeError):
             build_gabidulin(4, 2, GF(2, 3))
 
-    def test_parity_entries_leave_base_field(self):
-        # expected for a proper rank-metric parity; logged, not fatal, if violated
-        import warnings
-        for code in [build_gabidulin(5, 4, GF(7, 9)), build_gabidulin(6, 3, GF(5, 9))]:
+    def test_parity_entries_leave_base_field(self, ex1, ex2):
+        """Row i of [I_k | P] has rank weight n - k + 1 only if 1 and its
+        n - k parity entries are independent over GF(q), so no parity entry
+        of an MRD code, zero included, lies in GF(q).  Two small codes and
+        the Gabidulin constituents of ex1 and ex2."""
+        codes = [build_gabidulin(5, 4, GF(7, 9)), build_gabidulin(6, 3, GF(5, 9)),
+                 constituents(ex1.derived)[1], constituents(ex2.derived)[1]]
+        for code in codes:
             p = code.parity()
-            base_hits = [(i, j) for i in range(p.nrows) for j in range(p.ncols)
-                         if p[i, j].is_base()]
-            if base_hits:
-                warnings.warn(f"base-field parity entries at {base_hits}")
+            assert p.nrows and p.ncols
+            assert [(i, j) for i in range(p.nrows) for j in range(p.ncols)
+                    if p[i, j].is_base()] == []
 
 
 def sampled_mrd_check(code, trials=100, seed=0):

@@ -197,6 +197,34 @@ class TestCodeIsItsParity:
         assert ex1._plan_cache and bad._plan_cache == {}
         assert bad._plan_cache is not ex1._plan_cache
 
+    def test_foreign_parity_entry_rejected(self, ex1):
+        """GeneratorSet checks every entry of P, zero or not, directly and
+        through dataclasses.replace."""
+        for bad, err in ((3, TypeError), (None, TypeError), (GF(5, 9).one, FieldMismatchError),
+                         (GF(7).one, FieldMismatchError)):
+            for i, c in ((0, 0), (0, 4), (3, 1), (6, 4)):
+                rows = ex1.P.copy_rows()
+                rows[i][c] = bad
+                P = Mat(ex1.field(), rows, ex1.P.ncols)
+                with pytest.raises(err):
+                    GeneratorSet(ex1.derived, P)
+                with pytest.raises(err):
+                    dataclasses.replace(ex1, P=P)
+
+    def test_wrong_shape_parity_rejected(self, ex1, ex2):
+        """P must be k x B: a k x 4 P for ex1 would encode 11-symbol
+        codewords of an n = 12 code."""
+        P = ex1.P
+        assert GeneratorSet(ex1.derived, P) == ex1
+        for bad in (P.select_columns([0, 1, 2, 3]), P.select_rows(list(range(6))),
+                    P.hstack(P.select_columns([0]))):
+            with pytest.raises(ParamError):
+                GeneratorSet(ex1.derived, bad)
+            with pytest.raises(ParamError):
+                dataclasses.replace(ex1, P=bad)
+        with pytest.raises(ParamError):
+            GeneratorSet(ex2.derived, P)
+
 
 def test_bundle_json_round_trips(ex1):
     obj = ex1.to_json_obj()
@@ -254,14 +282,3 @@ class TestEvaluatePlans:
             got = f.evaluate_plans(plans[:count], x)
             assert got == [sum((c * x[pos] for pos, c in steps), f.zero)
                            for steps in plans[:count]]
-
-    def test_every_operand_of_every_term_checked(self):
-        f = GF(7, 9)
-        x = [f.one, f.alpha]
-        for bad, err in ((3, TypeError), (None, TypeError), (GF(5, 9).one, FieldMismatchError),
-                         (GF(7).one, FieldMismatchError)):
-            for plans, xs in (([[(0, f.one)], [(1, bad)]], x),
-                              ([[(0, f.one), (1, f.one)]], [f.one, bad]),
-                              ([[(1, f.one)], [(0, f.alpha)]], [bad, f.one])):
-                with pytest.raises(err):
-                    f.evaluate_plans(plans, xs)

@@ -523,15 +523,23 @@ class TestPackedArithmetic:
             want = _ref_add(f, want, _ref_mul(f, a.coeffs, b.coeffs))
         assert _sum_of_products(f, pairs).coeffs == want
 
-    def test_dot_checks_both_operands_of_every_pair(self):
-        f, other = GF(7, 9), GF(5, 9)
-        good = (f.one, f.alpha)
-        for bad, err in ((3, TypeError), (None, TypeError), (other.one, FieldMismatchError),
+    def test_check_rejects_the_first_non_element(self):
+        """Field.check passes elements of its field, zero included, and raises
+        for the first value that is not one, wherever it sits."""
+        f = GF(7, 9)
+        good = [f.zero, f.one, f.alpha]
+        f.check(good)
+        f.check(iter([]))
+        for bad, err in ((3, TypeError), (None, TypeError), (f.one.coeffs, TypeError),
+                         (GF(5, 9).one, FieldMismatchError), (GF(5, 9).zero, FieldMismatchError),
                          (GF(7).one, FieldMismatchError)):
-            for pairs in ([(bad, f.one)], [(f.one, bad)], [good, good, (bad, f.alpha)],
-                          [good, (f.alpha, bad), good]):
+            for at in range(len(good) + 1):
                 with pytest.raises(err):
-                    _sum_of_products(f, pairs)
+                    f.check(iter(good[:at] + [bad] + good[at:]))
+        with pytest.raises(TypeError):
+            f.check([f.one, 3, GF(5, 9).one])
+        with pytest.raises(FieldMismatchError):
+            f.check([GF(5, 9).one, 3])
 
     @pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (5, 2)])
     def test_coeffs_and_text_are_the_stored_tuple(self, q, m):
