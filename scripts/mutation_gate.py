@@ -78,6 +78,38 @@ MUTANTS = (
            "        if v & low != v:\n", "        if False:\n",
            "A product's slots of degree >= m must fold back through the modulus.",
            ("tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference",)),
+    Mutant("stream-too-short-unchecked", "src/streamfec/stream.py",
+           "    if num_source < 0 or num_source + n - 1 > pattern.horizon:\n"
+           "        raise StreamError(\"stream too short for the requested source packet "
+           "count\")\n",
+           "",
+           "Without it, 3 encoded packets decode as 10, all at latency 0.",
+           ("tests/test_stream.py::TestDecode::test_stream_too_short",)),
+    Mutant("explicit-modulus-reducible", "src/streamfec/gf.py",
+           "    if not is_irreducible(modulus, q):\n", "    if False:\n",
+           "A modulus from a JSON bundle is checked only in GF; a reducible one "
+           "makes a ring with zero divisors, not a field.",
+           ("tests/test_gf.py::TestFindIrreducible::test_reducible_moduli_rejected",)),
+    Mutant("parity-field-unchecked", "src/streamfec/construction.py",
+           "        if (self.P.field.q, self.P.field.m) != (self.derived.q, self.derived.m):\n",
+           "        if False:\n",
+           "A P over GF(5^9) for a GF(7^9) code exports q = 7 beside a G over GF(5^9).",
+           ("tests/test_construction.py::TestCodeIsItsParity::"
+            "test_parity_over_wrong_field_rejected",)),
+    Mutant("deadline-one-slot-late", "src/streamfec/construction.py",
+           "i + self.T_eff, ", "i + self.T_eff + 1, ",
+           "A symbol recovered one slot after T_eff would count as on time.",
+           ("tests/test_stream.py::TestDecode::"
+            "test_packet_plans_read_received_slots_up_to_the_delay[params0]",)),
+    Mutant("slot-zero-read-as-virtual", "src/streamfec/stream.py",
+           "zero if t + off < 0 else", "zero if t + off <= 0 else",
+           "Only the cold-start slots before 0 read as zero; slot 0 is received.",
+           ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params0]",)),
+    Mutant("packet-plan-key-one-slot-short", "src/streamfec/stream.py",
+           "span = (1 << (n + k - 1)) - 1", "span = (1 << (n + k - 2)) - 1",
+           "A packet plan's key must hold the erasure bits of all n + k - 1 "
+           "slots its k diagonals span, or two patterns share one plan.",
+           ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params2]",)),
 )
 
 

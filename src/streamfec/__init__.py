@@ -1,6 +1,6 @@
 """Rate-optimal low-latency streaming erasure codes for sliding-window channels."""
 
-from .gf import GF, Field, FieldElement, FieldError, FieldMismatchError, frobenius, alpha_power_basis
+from .gf import GF, Field, FieldElement, FieldError, FieldMismatchError, frobenius
 from .matrix import Mat, LinalgError, NoSolution, Underdetermined, cauchy_parity
 from .codes import (MdsCode, MrdCode, CodeError, build_mds, verify_mds,
                     build_gabidulin, certify_gabidulin)
@@ -11,6 +11,6 @@ from .channel import (ERASED, ErasurePattern, ChannelError, is_admissible,
 from .decoder import (DecodeReport, SymbolReport, DecoderError, StructuralFailureError,
                       oracle_decode, classify_pattern, decode_structured, deadline_table)
 from .stream import (StreamEncoder, StreamReport, StreamError, encode_stream,
-                     stream_decode, delay_check, simulate)
+                     plan_stream, stream_decode, delay_check, simulate)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .channel import BudgetError
-from .gf import GF, Field, frobenius, alpha_power_basis
+from .gf import GF, Field, frobenius
 from .matrix import Mat, cauchy_parity
 
 
@@ -93,16 +93,17 @@ def build_gabidulin(n: int, k: int, field: Field) -> MrdCode:
     """Systematic (n, k) Gabidulin code over GF(q^m), m >= n.
 
     Row i of the Moore generator holds the q^i-th power images of the
-    evaluation points 1, alpha, ..., alpha^(n-1); the systematic form is
-    obtained by row reduction, which preserves the rank-metric optimality
-    of every column sub-selection with more than k columns.
+    evaluation points 1, alpha, ..., alpha^(n-1): the powers of alpha^(q^i).
+    The systematic form is obtained by row reduction, which preserves the
+    rank-metric optimality of every column sub-selection with more than k
+    columns.
     """
     if not (0 <= k <= n):
         raise CodeError(f"need 0 <= k <= n, got k={k}, n={n}")
     if field.m < n:
         raise CodeError(f"extension degree too small: need m >= {n}, have m = {field.m}")
-    g = alpha_power_basis(field, n)
-    moore = Mat(field, [[frobenius(gj, i) for gj in g] for i in range(k)], n)
+    frob = [frobenius(field.alpha, i) for i in range(k)]
+    moore = Mat(field, [[c ** j for j in range(n)] for c in frob], n)
     return MrdCode(n=n, k=k, gen_moore=moore, gen_sys=moore.systematize())
 
 

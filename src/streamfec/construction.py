@@ -96,10 +96,10 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A code is its parity matrix P, k x B with every entry in P.field: G
-    and the encoder plan are views of it, and each instance (``replace``
-    too) checks P and starts with no cached oracle plans.  The constituent
-    codes P was assembled from are not held; ``constituents`` rebuilds them."""
+    """A code is its parity matrix P, k x B over derived's GF(q^m): G and
+    the encoder plan are views of it, and each instance (``replace`` too)
+    checks P and starts with no cached oracle plans.  The constituent codes
+    P was assembled from are not held; ``constituents`` rebuilds them."""
 
     derived: DerivedParams
     P: Mat
@@ -108,6 +108,9 @@ class GeneratorSet:
     def __post_init__(self):
         if (self.P.nrows, self.P.ncols) != (self.derived.k, self.derived.B):
             raise ParamError(f"P must be {self.derived.k} x {self.derived.B}, got {self.P!r}")
+        if (self.P.field.q, self.P.field.m) != (self.derived.q, self.derived.m):
+            raise ParamError(f"P must be over GF(q^m) for q, m = {self.derived.q}, "
+                             f"{self.derived.m}, got {self.P!r}")
         self.P.field.check(v for r in self.P.rows for v in r)
 
     def field(self) -> Field:

@@ -291,20 +291,11 @@ class Field:
     """A field spec GF(q^m) with a fixed monic irreducible modulus.
 
     Instances are interned: ``GF(q, m)`` always returns the same object,
-    so identity comparison is field-spec comparison.
+    so identity comparison is field-spec comparison.  GF checks the spec;
+    the constructor trusts it.
     """
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...]):
-        if not is_prime(q):
-            raise FieldError(f"q={q} is not prime")
-        if m < 1:
-            raise FieldError(f"extension degree must be >= 1, got {m}")
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise FieldError("modulus must be monic of degree m, constant term first")
-        if any(not (0 <= c < q) for c in modulus):
-            raise FieldError("modulus coefficients must be residues in [0, q)")
-        if not is_irreducible(modulus, q):
-            raise FieldError(f"modulus {modulus} is reducible over Z_{q}")
         self.q = q
         self.m = m
         self.modulus = tuple(modulus)
@@ -436,15 +427,29 @@ def _interned_field(q: int, m: int, modulus: tuple[int, ...]) -> Field:
 
 
 def GF(q: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
-    """Interned field constructor; default modulus is the lex-smallest irreducible."""
+    """Interned field constructor, the one place a field spec is checked.
+    The default modulus is find_irreducible's, already tested; an explicit
+    one is checked on every call: q prime, monic of degree m, irreducible."""
     # int only, bool excluded, checked first: the caches key 11.0 and True as 11 and 1
     if type(q) is not int or type(m) is not int:
         raise FieldError(f"q and m must be ints, got q={q!r}, m={m!r}")
     if m > M_LIMIT:
         raise FieldError(f"extension degree m={m} exceeds M_LIMIT={M_LIMIT}")
-    modulus = find_irreducible(q, m) if modulus is None else tuple(modulus)
+    if modulus is None:
+        return _interned_field(q, m, find_irreducible(q, m))
+    modulus = tuple(modulus)
     if any(type(c) is not int for c in modulus):
         raise FieldError(f"modulus coefficients must be ints, got {modulus}")
+    if not is_prime(q):
+        raise FieldError(f"q={q} is not prime")
+    if m < 1:
+        raise FieldError(f"extension degree must be >= 1, got {m}")
+    if len(modulus) != m + 1 or modulus[-1] != 1:
+        raise FieldError("modulus must be monic of degree m, constant term first")
+    if any(not (0 <= c < q) for c in modulus):
+        raise FieldError("modulus coefficients must be residues in [0, q)")
+    if not is_irreducible(modulus, q):
+        raise FieldError(f"modulus {modulus} is reducible over Z_{q}")
     return _interned_field(q, m, modulus)
 
 
@@ -455,18 +460,3 @@ def frobenius(a: FieldElement, i: int) -> FieldElement:
         out = out ** a.field.q
     return out
 
-
-def alpha_power_basis(field: Field, n: int) -> list[FieldElement]:
-    """1, alpha, ..., alpha^(n-1): linearly independent over the prime subfield.
-
-    Requires n <= m; independence follows from alpha having a degree-m
-    minimal polynomial.
-    """
-    if n > field.m:
-        raise FieldError(f"need n <= m for an independent power basis, got n={n}, m={field.m}")
-    out = []
-    cur = field.one
-    for _ in range(n):
-        out.append(cur)
-        cur = cur * field.alpha
-    return out

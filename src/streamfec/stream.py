@@ -14,13 +14,16 @@ N erasures: for (W, T, B, N) = (10, 9, 5, 3), n = 12 and the admissible
 {0, 1, 10, 11} is neither.  Every diagonal is therefore decoded by the
 oracle plan alone, and a symbol counts as recovered only by its deadline;
 on an admissible stream every diagonal meets all of them (acceptance
-criterion 10).  stream_decode decodes only the erased source packets, each
-by one cached packet plan built from the oracle plans of its k diagonals.
+criterion 10).  Whether and when a packet is recovered depends on the
+erasure pattern alone: plan_stream reads from it the latency report and,
+per erased source packet, one cached packet plan built from the oracle
+plans of its k diagonals; stream_decode evaluates each such plan set once
+on the received values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import decoder
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
@@ -63,9 +66,9 @@ def encode_stream(packets: Sequence[Sequence], g: GeneratorSet) -> list:
 
 @dataclass(frozen=True)
 class StreamReport:
-    """What stream_decode measured: the number of erased slots and, per
-    source packet, its largest symbol latency, or None if any symbol missed
-    recovery by its deadline.  The rest is derived from those two.
+    """What plan_stream reads from an erasure pattern: the number of erased
+    slots and, per source packet, its largest symbol latency, or None if any
+    symbol misses recovery by its deadline.  The rest is derived from those two.
     erased_slots counts erasures in every transmitted slot, the n - 1 flush
     slots included, while packets counts source packets only."""
 
@@ -120,41 +123,40 @@ def _packet_plan(g: GeneratorSet, local: int) -> tuple:
     return plan
 
 
-def stream_decode(received: Sequence, g: GeneratorSet, num_source: int,
-                  values: bool = True) -> tuple[Optional[list], StreamReport]:
-    """Decode a received channel stream one erased source packet at a time.
-
-    ``received`` holds one channel packet (n symbols) or ERASED per slot;
-    with ``values=True`` a packet of any other width raises StreamError.
-    ``num_source`` is the number of real source packets; the n - 1 slots
-    after them carry the flush.  With ``values=False`` only the recovery
-    plan is evaluated (which positions resolve by which time), skipping the
-    per-symbol arithmetic; the latency report is identical.  A received
-    source packet is copied at latency 0; an erased one is decoded by its
-    packet plan, its recovered symbols as one plan set.
-    """
-    dd = g.derived
-    n, k = dd.n, dd.k
-    if num_source < 0 or num_source + n - 1 > len(received):
+def plan_stream(g: GeneratorSet, pattern: ErasurePattern,
+                num_source: int) -> tuple[dict, StreamReport]:
+    """The packet plan of each erased source packet, keyed by slot, and the
+    latency report, from the erasure pattern alone.  ``num_source`` counts
+    the real source packets; the horizon holds them and the n - 1 flush slots."""
+    n, k = g.derived.n, g.derived.k
+    if num_source < 0 or num_source + n - 1 > pattern.horizon:
         raise StreamError("stream too short for the requested source packet count")
-    if values:
-        bad = next((t for t, p in enumerate(received) if p is not ERASED and len(p) != n), None)
-        if bad is not None:
-            raise StreamError(f"packet {bad} has {len(received[bad])} symbols, expected {n}")
-
-    erased = [t for t, p in enumerate(received) if p is ERASED]
     # bit t + k - 1 is set iff slot t is erased; cold-start slots t < 0 read as received
-    mask = sum(1 << (t + k - 1) for t in erased)
+    mask = sum(1 << (t + k - 1) for t in pattern.erased)
     span = (1 << (n + k - 1)) - 1
-    plans = {t: _packet_plan(g, (mask >> t) & span) for t in erased if t < num_source}
+    plans = {t: _packet_plan(g, (mask >> t) & span) for t in pattern.erased if t < num_source}
     latencies = [0] * num_source
     for t, plan in plans.items():
         latencies[t] = plan[0]
-    report = StreamReport(len(erased), tuple(latencies))
-    if not values:
-        return None, report
+    return plans, StreamReport(len(pattern.erased), tuple(latencies))
+
+
+def stream_decode(received: Sequence, g: GeneratorSet,
+                  num_source: int) -> tuple[list, StreamReport]:
+    """Decode a received channel stream one erased source packet at a time.
+
+    ``received`` holds one channel packet (n symbols) or ERASED per slot; a
+    packet of any other width raises StreamError.  A received source packet
+    is copied; an erased one is decoded by its plan_stream plan, as one plan set.
+    """
+    n, k = g.derived.n, g.derived.k
+    bad = next((t for t, p in enumerate(received) if p is not ERASED and len(p) != n), None)
+    if bad is not None:
+        raise StreamError(f"packet {bad} has {len(received[bad])} symbols, expected {n}")
     zero = g.field().zero
     zero.field.check(v for p in received if p is not ERASED for v in p)  # read by a plan or not
+    erased = tuple(t for t, p in enumerate(received) if p is ERASED)
+    plans, report = plan_stream(g, ErasurePattern(len(received), erased), num_source)
     packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
     for t, (_, reads, steps) in plans.items():
         x = [zero if t + off < 0 else received[t + off][row] for off, row in reads]
@@ -173,23 +175,19 @@ def simulate(g: GeneratorSet, length: int, seed: int,
     """One seeded end-to-end run: sample pattern, encode, erase, decode.
 
     With ``values=True`` the decoded packets are checked against the sent
-    ones symbol for symbol; with ``values=False`` the run is plan-only.
+    ones symbol for symbol; ``values=False`` returns plan_stream's report.
     """
     import random
 
     d = g.derived
-    horizon = length + d.n - 1
-    pat = sample_stream_pattern(horizon, d.W, d.B, d.N, seed)
-    if values:
-        rng = random.Random(seed ^ 0x5EED)
-        ext = g.field()
-        src = [[ext.random_element(rng) for _ in range(d.k)] for _ in range(length)]
-        sent = encode_stream(src, g)
-    else:
-        sent = [()] * horizon
-    decoded, report = stream_decode(apply(sent, pat), g, num_source=length, values=values)
-    if values:
-        for t, lat in enumerate(report.latencies):
-            if lat is not None and decoded[t] != src[t]:
-                raise StreamError(f"value mismatch at packet {t}")
+    pat = sample_stream_pattern(length + d.n - 1, d.W, d.B, d.N, seed)
+    if not values:
+        return plan_stream(g, pat, length)[1], pat
+    rng = random.Random(seed ^ 0x5EED)
+    ext = g.field()
+    src = [[ext.random_element(rng) for _ in range(d.k)] for _ in range(length)]
+    decoded, report = stream_decode(apply(encode_stream(src, g), pat), g, num_source=length)
+    for t, lat in enumerate(report.latencies):
+        if lat is not None and decoded[t] != src[t]:
+            raise StreamError(f"value mismatch at packet {t}")
     return report, pat

@@ -225,6 +225,18 @@ class TestCodeIsItsParity:
         with pytest.raises(ParamError):
             GeneratorSet(ex2.derived, P)
 
+    @pytest.mark.parametrize("q, m", [(5, 9), (7, 1), (7, 10)])
+    def test_parity_over_wrong_field_rejected(self, ex1, q, m):
+        """A k x B P over a field other than derived's GF(7^9), all of its
+        entries in its own field, is refused directly and through
+        dataclasses.replace: it would export q = 7 beside a G over GF(5^9)."""
+        f = GF(q, m)
+        P = Mat(f, [[f.one] * ex1.derived.B for _ in range(ex1.derived.k)], ex1.derived.B)
+        with pytest.raises(ParamError):
+            GeneratorSet(ex1.derived, P)
+        with pytest.raises(ParamError):
+            dataclasses.replace(ex1, P=P)
+
 
 def test_bundle_json_round_trips(ex1):
     obj = ex1.to_json_obj()

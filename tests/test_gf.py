@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -8,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamfec import gf
 from streamfec.gf import (DOT_TERMS, GF, M_LIMIT, PRIME_LIMIT, FieldError, FieldMismatchError,
-                          alpha_power_basis, find_irreducible, frobenius, is_irreducible,
-                          is_prime, next_prime)
+                          find_irreducible, frobenius, is_irreducible, is_prime, next_prime)
 from streamfec.matrix import Mat
 
 from conftest import mat_from_json, mat_to_json
@@ -267,6 +267,27 @@ class TestFindIrreducible:
         with pytest.raises(FieldError):
             GF(q, len(f) - 1, f)
 
+    def test_default_modulus_is_tested_only_by_the_search(self, monkeypatch):
+        """A cold GF(7, 9) runs Ben-Or's test only on the search's candidates:
+        GF trusts the modulus find_irreducible returns."""
+        search, real = gf.find_irreducible.__wrapped__, gf.is_irreducible
+        searching, calls = [], []
+
+        def uncached_search(q, m):
+            searching.append(True)
+            try:
+                return search(q, m)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(gf, "find_irreducible", uncached_search)
+        monkeypatch.setattr(gf, "_interned_field", functools.lru_cache(maxsize=None)(gf.Field))
+        monkeypatch.setattr(gf, "is_irreducible",
+                            lambda f, q: calls.append(bool(searching)) or real(f, q))
+        f = gf.GF(7, 9)
+        assert f.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+        assert calls and all(calls)
+
     def test_large_q_modulus_from_json(self):
         # x^2 + 1 is irreducible over Z_q for q = 3 mod 4
         q = 2 ** 31 - 1
@@ -295,29 +316,6 @@ class TestFindIrreducible:
                     return
                 assert not is_irreducible(cand, q)
         raise AssertionError("modulus not reached in scan")
-
-
-class TestAlphaPowerBasis:
-    def test_full_basis_gf8(self):
-        f = GF(2, 3)
-        basis = alpha_power_basis(f, 3)
-        assert basis == [f.one, f.alpha, f.alpha * f.alpha]
-
-    def test_single(self):
-        f = GF(5, 4)
-        assert alpha_power_basis(f, 1) == [f.one]
-
-    def test_coefficient_matrix_has_full_rank(self):
-        f = GF(7, 9)
-        basis = alpha_power_basis(f, 9)
-        # powers below m never wrap, so their coefficient matrix is I_9
-        for i, b in enumerate(basis):
-            expected = tuple(1 if j == i else 0 for j in range(9))
-            assert b.coeffs == expected
-
-    def test_too_many_rejected(self):
-        with pytest.raises(FieldError):
-            alpha_power_basis(GF(2, 3), 4)
 
 
 @pytest.mark.parametrize("q,m", [(7, 1), (2, 2), (5, 2), (7, 3)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamfec.channel import ERASED, ErasurePattern, apply
 from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_check,
-                              encode_stream, simulate, stream_decode)
+                              encode_stream, plan_stream, simulate, stream_decode)
 from streamfec.construction import (StreamParams, build_code, encode_block,
                                     validate_and_derive)
 from streamfec import decoder, stream
@@ -169,17 +169,15 @@ class TestDecode:
         src = random_packets(ex2, 25, 8)
         sent = encode_stream(src, ex2)
         pat = ErasurePattern.make(len(sent), [3, 4, 5, 6, 14, 17])
-        got = apply(sent, pat)
-        _, rep_vals = stream_decode(got, ex2, num_source=len(src))
-        masked = [ERASED if p is ERASED else () for p in got]
-        _, rep_plan = stream_decode(masked, ex2, num_source=len(src), values=False)
-        assert rep_plan.latencies == rep_vals.latencies
-        assert rep_plan.failures == rep_vals.failures
+        _, rep_vals = stream_decode(apply(sent, pat), ex2, num_source=len(src))
+        plans, rep_plan = plan_stream(ex2, pat, len(src))
+        assert rep_plan == rep_vals and sorted(plans) == [3, 4, 5, 6, 14, 17]
 
     @pytest.mark.parametrize("params", GATE_CODES)
     def test_matches_reference_decoder(self, params):
-        """Packets and report equal the per-diagonal reference exactly, in
-        both modes, from loss-free to heavily inadmissible streams."""
+        """Packets and report equal the per-diagonal reference exactly, and
+        plan_stream's report on the pattern equals the reference's plan-only
+        one, from loss-free to heavily inadmissible streams."""
         g = code(params)
         for seed in range(12):
             rate = (0, 0.05, 0.1, 0.2, 0.3, 0.5)[seed % 6]
@@ -190,9 +188,8 @@ class TestDecode:
                                                       if rng.random() < rate])
                 got = apply(sent, pat)
                 assert stream_decode(got, g, length) == reference_decode(got, g, length)
-                masked = [ERASED if p is ERASED else () for p in got]
-                assert (stream_decode(masked, g, length, values=False)
-                        == reference_decode(masked, g, length, values=False))
+                assert (plan_stream(g, pat, length)[1]
+                        == reference_decode(got, g, length, values=False)[1])
 
     @given(st.data())
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -211,15 +208,15 @@ class TestDecode:
         sent = encode_stream(random_packets(g, length + extra, data.draw(st.integers(0, 99))), g)
         got = apply(sent, ErasurePattern.make(horizon, erased))
         assert stream_decode(got, g, length) == reference_decode(got, g, length)
-        masked = [ERASED if p is ERASED else () for p in got]
-        assert (stream_decode(masked, g, length, values=False)
-                == reference_decode(masked, g, length, values=False))
+        assert (plan_stream(g, ErasurePattern.make(horizon, erased), length)[1]
+                == reference_decode(got, g, length, values=False)[1])
 
     def test_decode_work_follows_the_losses(self, ex1, monkeypatch):
         """With no erased source packet, erased flush slots or not, neither
-        mode asks for a plan or caches one.  A lone loss among 10,000 packets
-        compiles one packet plan from warm oracle plans; two lone losses
-        elsewhere, one whose diagonals reach before slot 0, compile none."""
+        stream_decode nor plan_stream asks for a plan or caches one.  A lone
+        loss among 10,000 packets compiles one packet plan from warm oracle
+        plans; two lone losses elsewhere, one whose diagonals reach before
+        slot 0, compile none."""
         calls = []
         monkeypatch.setattr(stream, "oracle_plan",
                             lambda g, erased: calls.append(erased) or decoder.oracle_plan(g, erased))
@@ -227,20 +224,18 @@ class TestDecode:
         n, k = g.derived.n, g.derived.k
         sent = encode_stream(random_packets(g, 20, 40), g)
         for erased in ([], [20, 20 + n - 2]):
-            got = apply(sent, ErasurePattern.make(len(sent), erased))
-            decoded, rep = stream_decode(got, g, 20)
+            pat = ErasurePattern.make(len(sent), erased)
+            decoded, rep = stream_decode(apply(sent, pat), g, 20)
             assert decoded == [p[:k] for p in sent[:20]] and rep.erased_slots == len(erased)
-            masked = [ERASED if p is ERASED else () for p in got]
-            assert stream_decode(masked, g, 20, values=False) == (None, rep)
+            assert plan_stream(g, pat, 20) == ({}, rep)
         assert calls == [] and g._plan_cache == {}
 
         for j in range(k):  # the diagonals through a lone loss, each erased at j
             decoder.oracle_plan(g, frozenset({j}))
         horizon = 10_000 + n - 1
         for lost, new_plans in (([6_000], 1), ([3, 9_000], 0)):
-            lone = apply([()] * horizon, ErasurePattern.make(horizon, lost))
             before, calls[:] = len(g._plan_cache), []
-            _, rep = stream_decode(lone, g, 10_000, values=False)
+            _, rep = plan_stream(g, ErasurePattern.make(horizon, lost), 10_000)
             assert len(g._plan_cache) - before == new_plans
             assert len(calls) == k * new_plans
             assert rep.failures == () and all(0 < rep.latencies[t] <= g.derived.T_eff
@@ -259,7 +254,7 @@ class TestDecode:
         rng = random.Random(30)
         horizon = 300 + d.n - 1
         heavy = ErasurePattern.make(horizon, [t for t in range(horizon) if rng.random() < 0.3])
-        stream_decode(apply([()] * horizon, heavy), g, 300, values=False)
+        plan_stream(g, heavy, 300)
         offsets = set()
         for local, plan in g._plan_cache.items():
             if isinstance(local, int):  # a packet plan; oracle plans have frozenset keys
@@ -302,8 +297,17 @@ class TestDecode:
             stream_decode(sent, ex1, num_source=5)
 
     def test_stream_too_short(self, ex1):
-        with pytest.raises(StreamError):
-            stream_decode([()] * 5, ex1, num_source=10)
+        """The 14 full-width slots of 3 encoded ex1 packets hold 3 source
+        packets and the n - 1 = 11 flush slots, no more; a pattern's horizon
+        bounds plan_stream the same way."""
+        sent = encode_stream(random_packets(ex1, 3, 15), ex1)
+        assert stream_decode(sent, ex1, num_source=3)[1].packets == 3
+        for num_source in (4, 10, -1):
+            with pytest.raises(StreamError):
+                stream_decode(sent, ex1, num_source=num_source)
+            with pytest.raises(StreamError):
+                plan_stream(ex1, ErasurePattern.make(len(sent), [1]), num_source)
+        assert plan_stream(ex1, ErasurePattern.make(len(sent), [1]), 3)[1].packets == 3
 
     def test_plan_only_latencies_match_golden(self, ex1, ex2):
         """Seeded plan-only streams of ex1, ex2 and the W <= T code
@@ -323,8 +327,7 @@ class TestDecode:
                 if seed % 5 == 0:
                     erased |= {0, horizon - 1}
                 pat = ErasurePattern.make(horizon, erased)
-                _, rep = stream_decode(apply([()] * horizon, pat), g,
-                                       num_source=length, values=False)
+                _, rep = plan_stream(g, pat, length)
                 lat = " ".join("-" if v is None else str(v) for v in rep.latencies)
                 lines.append(f"{d.W},{d.T},{d.B},{d.N} {seed} [{pat.to_text()}] "
                              f"{rep.erased_slots}: {lat}")
@@ -346,11 +349,17 @@ class TestSimulate:
             assert rep.failures == ()
             assert rep.max_latency <= d.T_eff
 
-    def test_plan_only_equals_value_mode(self, ex1):
-        for seed in range(3):
-            rep_v, _ = simulate(ex1, 60, seed=seed, values=True)
-            rep_p, _ = simulate(ex1, 60, seed=seed, values=False)
-            assert rep_v == rep_p
+    def test_plan_only_equals_value_mode(self, ex1, monkeypatch):
+        """Plan-only simulate reads the sampled pattern alone: with apply and
+        stream_decode raising, its report still equals the value run's."""
+        want = [simulate(ex1, 60, seed=seed, values=True) for seed in range(3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("plan-only simulate touched values")
+
+        monkeypatch.setattr(stream, "apply", refuse)
+        monkeypatch.setattr(stream, "stream_decode", refuse)
+        assert [simulate(ex1, 60, seed=seed, values=False) for seed in range(3)] == want
 
 
 class TestReport:
