@@ -110,6 +110,40 @@ MUTANTS = (
            "A packet plan's key must hold the erasure bits of all n + k - 1 "
            "slots its k diagonals span, or two patterns share one plan.",
            ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params2]",)),
+    Mutant("oracle-rank-test-dropped", "src/streamfec/decoder.py",
+           "        if not any(col[len(basis):]):\n", "        if True:\n",
+           "A symbol whose unit vector lies outside the received span is lost; "
+           "without the rank test the oracle plans it from the basis anyway.",
+           ("tests/test_decoder.py::TestOracle::test_too_many_erasures_reported_failed",)),
+    Mutant("packet-plan-reads-permuted", "src/streamfec/stream.py",
+           "else worst, tuple(reads), steps)", "else worst, tuple(reversed(reads)), steps)",
+           "A packet plan's steps index its reads by position; permuted reads feed "
+           "each coefficient the wrong received symbol.",
+           ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params0]",)),
+    Mutant("inverse-table-hit-returns-self", "src/streamfec/gf.py",
+           "        if inv is not None:\n            return FieldElement(f, inv)\n",
+           "        if inv is not None:\n            return self\n",
+           "A table hit must return the stored inverse, the Euclid result.",
+           ("tests/test_gf.py::TestInverseTable::"
+            "test_second_call_is_a_hit_equal_to_euclid_and_fermat[2-5]",)),
+    Mutant("inverse-table-reverse-entry-dropped", "src/streamfec/gf.py",
+           "            f._inv[inv] = self.pk\n", "",
+           "Inversion is an involution: a miss stores both directions.",
+           ("tests/test_gf.py::TestInverseTable::test_a_miss_stores_the_reverse_entry",)),
+    Mutant("inverse-table-cap-dropped", "src/streamfec/gf.py",
+           "        if len(f._inv) < INVERSE_CAP - 1:  # room for both entries\n",
+           "        if True:\n",
+           "Without the cap a large field stores one entry per element it ever inverts.",
+           ("tests/test_gf.py::TestInverseTable::test_table_stops_growing_at_the_cap",)),
+    Mutant("bool-scalar-accepted", "src/streamfec/gf.py",
+           "            if isinstance(value, bool):", "            if False:",
+           "GF(7, 9)(True) would be one, though a bool is refused as q, m and a "
+           "coefficient.",
+           ("tests/test_gf.py::TestExtensionField::test_bool_scalar_rejected",)),
+    Mutant("horizon-unchecked", "src/streamfec/channel.py",
+           "        if type(self.horizon) is not int or self.horizon < 0:\n", "        if False:\n",
+           "ErasurePattern(-3, ()) would be a pattern with a negative horizon.",
+           ("tests/test_channel.py::TestErasurePattern::test_bad_horizon_rejected[-3]",)),
 )
 
 

@@ -44,6 +44,8 @@ class ErasurePattern:
     erased: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.horizon) is not int or self.horizon < 0:
+            raise ChannelError(f"horizon must be a non-negative int, got {self.horizon!r}")
         prev = -1
         for e in self.erased:
             if not (0 <= e < self.horizon):

@@ -6,7 +6,7 @@ irreducible modulus.  The modulus is chosen deterministically (the
 lexicographically smallest irreducible polynomial, coefficients compared
 constant-term-first) so that every exported matrix is bit-reproducible.
 
-No tables, no floating point: all operations are exact integer arithmetic.
+No log or multiplication tables, no floating point: all operations are exact.
 An element is stored packed, as one integer with coefficient i in Kronecker
 slot i, and the coefficient tuple is derived from it on demand.  A sum,
 difference, negation or product is one big-integer operation on the packed
@@ -20,11 +20,13 @@ products, and a longer sum reduces in chunks), and the sums of a plan set
 reduce together, as blocks of one integer.  It trusts its operands:
 Field.check checks each element once, where it enters the library.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
-modulus, not a q^m - 2 power.  The modulus check is Ben-Or's test, m/2
-rounds of one power by q and one gcd mod the modulus, so no step of the
-modulus search or check grows with q faster than log q, and neither does
-is_prime's Miller-Rabin test of q itself.  GF refuses m above M_LIMIT, so
-the check's growth with m is bounded too.
+modulus, not a q^m - 2 power, once per distinct element: each field keeps
+a table of the inverses it has computed, both ways, up to INVERSE_CAP
+entries.  The modulus check is Ben-Or's test, m/2 rounds of one power by q
+and one gcd mod the modulus, so no step of the modulus search or check
+grows with q faster than log q, and neither does is_prime's Miller-Rabin
+test of q itself.  GF refuses m above M_LIMIT, so the check's growth with
+m is bounded too.
 """
 from __future__ import annotations
 
@@ -185,6 +187,9 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
 # Raw products Field.evaluate_plans sums before it reduces; the slot width of
 # every field is sized so that this many never carry out of a slot.
 DOT_TERMS = 64
+# The most entries a field's inverse table holds: elimination inverts a few
+# dozen distinct pivots many times over, and the bound caps a large field.
+INVERSE_CAP = 4096
 
 
 class FieldElement:
@@ -251,10 +256,15 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Extended Euclid over Z_q[x] against the modulus; the final
-        constant (the element itself in GF(q)) is inverted by Fermat."""
+        constant (the element itself in GF(q)) is inverted by Fermat.  The
+        field's table answers a repeat and stores each new inverse both
+        ways while it has room; zero raises and is never stored."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
+        inv = f._inv.get(self.pk)
+        if inv is not None:
+            return FieldElement(f, inv)
         q = f.q
         # invariant: s_i * self == r_i mod the modulus; the modulus is
         # irreducible, so the remainders reach a nonzero constant
@@ -265,7 +275,11 @@ class FieldElement:
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1, q), q)
         c = pow(r1[0], q - 2, q)
-        return FieldElement(f, f._pack([v * c % q for v in s1]))
+        inv = f._pack([v * c % q for v in s1])
+        if len(f._inv) < INVERSE_CAP - 1:  # room for both entries
+            f._inv[self.pk] = inv
+            f._inv[inv] = self.pk
+        return FieldElement(f, inv)
 
     def is_base(self) -> bool:
         """True when the element lies in the prime subfield."""
@@ -314,6 +328,7 @@ class Field:
         K = s + q.bit_length()  # _mod_slots: floor(x / q) = floor(x c / 2^K), x < 2^s
         self._div = (-(-(1 << K) // q), K)
         self._batch: dict[int, tuple] = {}  # _reduce's masks per block count, lazily
+        self._inv: dict[int, int] = {}  # FieldElement.inverse's table, pk to pk
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.alpha = FieldElement(self, 1 << s) if m >= 2 else self.one
@@ -326,6 +341,8 @@ class Field:
                 return value
             raise _operand_error(self, value)
         if isinstance(value, int):
+            if isinstance(value, bool):  # as in a coefficient tuple, a bool is no int here
+                raise FieldError(f"expected an int or coefficients, got {value!r}")
             return FieldElement(self, value % self.q)
         coeffs = tuple(value)
         if len(coeffs) != self.m:

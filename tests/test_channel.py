@@ -17,6 +17,14 @@ class TestErasurePattern:
         with pytest.raises(ChannelError):
             ErasurePattern(5, (5,))
 
+    @pytest.mark.parametrize("horizon", [-3, -1, 2.0, "5", True, None])
+    def test_bad_horizon_rejected(self, horizon):
+        # make and from_text build through the same check
+        for build in (lambda: ErasurePattern(horizon, ()), lambda: ErasurePattern.make(horizon, []),
+                      lambda: ErasurePattern.from_text(horizon, "")):
+            with pytest.raises(ChannelError, match="horizon"):
+                build()
+
     def test_make_sorts_and_dedups(self):
         p = ErasurePattern.make(6, [4, 1, 4])
         assert p.erased == (1, 4)

@@ -210,6 +210,8 @@ GOLDEN = [
     ("simulate_trials0_ex1", ["simulate", *EX1, "--trials", "0"], 0),
     ("simulate_long_ex2", ["simulate", *EX2, "--len", "3000", "--trials", "2", "--seed", "9"], 0),
     ("verify_ex1", ["verify", *EX1, "--trials", "1"], 0),
+    # five blocks per pattern: trials 2-5 re-read each field's inverse table
+    ("verify_ex1_default", ["verify", *EX1], 0),
 ]
 
 

@@ -160,6 +160,14 @@ class TestExtensionField:
         assert f((6,) + zeros) == f(6)
         assert GF(7)(9) == GF(7)(2)  # integers keep their modular meaning
 
+    def test_bool_scalar_rejected(self):
+        # a bool is refused as q, m and a coefficient, so as a scalar too
+        for f in (GF(7, 9), GF(2)):
+            for value in (True, False):
+                with pytest.raises(FieldError):
+                    f(value)
+        assert GF(7, 9)(1) == GF(7, 9).one and GF(2)(0) == GF(2).zero
+
 
 class TestFrobenius:
     def test_identity_power(self):
@@ -386,6 +394,80 @@ class TestInverse:
             assert (b * a.inverse()) * a == b
             assert a ** -1 == a.inverse()
             assert a ** -3 * (a * a * a) == f.one
+
+
+def _fresh_field(q, m):
+    """GF(q, m) outside the intern cache, so its inverse table starts empty."""
+    return gf.Field(q, m, find_irreducible(q, m))
+
+
+class TestInverseTable:
+    """Each field inverts a distinct element once, by Euclid, and keeps the
+    result, both ways, in a table of at most INVERSE_CAP entries."""
+
+    @pytest.mark.parametrize("q,m", [(2, 5), (3, 4)])
+    def test_second_call_is_a_hit_equal_to_euclid_and_fermat(self, monkeypatch, q, m):
+        monkeypatch.setattr(gf, "INVERSE_CAP", 0)  # no room: every call runs Euclid
+        bare = _fresh_field(q, m)
+        euclid = {a.pk: a.inverse().pk for a in _nonzero_elements(bare, None)}
+        assert bare._inv == {}
+        monkeypatch.undo()
+        f = _fresh_field(q, m)
+        for a in _nonzero_elements(f, None):
+            first = a.inverse()
+            assert f._inv[a.pk] == first.pk == euclid[a.pk]
+            hit = a.inverse()
+            assert hit.pk == euclid[a.pk] and hit == a ** (q ** m - 2)
+        assert len(f._inv) == q ** m - 1
+
+    def test_a_miss_stores_the_reverse_entry(self):
+        f = _fresh_field(7, 9)
+        a = f((3, 1, 4, 1, 5, 0, 2, 6, 5))
+        inv = a.inverse()
+        assert f._inv == {a.pk: inv.pk, inv.pk: a.pk}
+        assert inv.inverse() == a and len(f._inv) == 2
+
+    def test_zero_raises_and_is_never_stored(self):
+        f = _fresh_field(2, 5)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                f.zero.inverse()
+        assert f._inv == {}
+        for a in _nonzero_elements(f, None):
+            a.inverse()
+        assert 0 not in f._inv and 0 not in f._inv.values()
+
+    def test_table_stops_growing_at_the_cap(self):
+        f = _fresh_field(2, 13)  # 8,191 nonzero elements, twice the cap
+        for a in _nonzero_elements(f, None):
+            assert a * a.inverse() == f.one
+            assert len(f._inv) <= gf.INVERSE_CAP
+        assert len(f._inv) >= gf.INVERSE_CAP - 1
+        # past the cap a miss still inverts exactly, and stores nothing
+        table = dict(f._inv)
+        misses = [a for a in _nonzero_elements(f, None) if a.pk not in table]
+        assert misses and all(a * a.inverse() == f.one for a in misses)
+        assert f._inv == table
+
+    def test_same_q_m_other_modulus_has_its_own_table(self):
+        # x^5 + x^2 + 1 and x^5 + x^3 + 1 are both irreducible over Z_2
+        f, g = GF(2, 5, (1, 0, 1, 0, 0, 1)), GF(2, 5, (1, 0, 0, 1, 0, 1))
+        for filled, other in ((f, g), (g, f)):
+            for a in _nonzero_elements(filled, None):
+                a.inverse()
+            for a in _nonzero_elements(other, None):
+                assert a * a.inverse() == other.one
+        assert any(f._inv[pk] != g._inv[pk] for pk in f._inv)
+
+    def test_a_cleared_intern_cache_starts_an_empty_table(self, monkeypatch):
+        monkeypatch.setattr(gf, "_interned_field", functools.lru_cache(maxsize=None)(gf.Field))
+        f = GF(7, 9)
+        f.alpha.inverse()
+        assert len(f._inv) == 2
+        gf._interned_field.cache_clear()
+        g = GF(7, 9)
+        assert g is not f and g._inv == {}
+        assert g.alpha * g.alpha.inverse() == g.one
 
 
 def _schoolbook_product(f, a, b):
