@@ -76,7 +76,7 @@ MUTANTS = (
            ("tests/test_codes.py::TestVerifyMds::test_repeated_parity_column_fails",)),
     Mutant("reduce-never-folds", "src/streamfec/gf.py",
            "        if v & low != v:\n", "        if False:\n",
-           "A product's slots of degree >= m must fold back through the modulus.",
+           "A product's slots of degree >= m must reduce through the modulus.",
            ("tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference",)),
     Mutant("stream-too-short-unchecked", "src/streamfec/stream.py",
            "    if num_source < 0 or num_source + n - 1 > pattern.horizon:\n"
@@ -144,6 +144,24 @@ MUTANTS = (
            "        if type(self.horizon) is not int or self.horizon < 0:\n", "        if False:\n",
            "ErasurePattern(-3, ()) would be a pattern with a negative horizon.",
            ("tests/test_channel.py::TestErasurePattern::test_bad_horizon_rejected[-3]",)),
+    Mutant("slot-width-unpadded", "src/streamfec/gf.py",
+           "(q - 1) ** 2).bit_length() + q.bit_length()\n", "(q - 1) ** 2).bit_length()\n",
+           "Without the spare bits x c >> s overshoots x // q by one for a slot "
+           "value near 2^s, and _mod_slots drives that slot negative.",
+           ("tests/test_gf.py::test_reduction_at_its_largest_slot_values",)),
+    Mutant("barrett-mu-one-degree-low", "src/streamfec/gf.py",
+           "[0] * (2 * m - 2) + [1]", "[0] * (2 * m - 3) + [1]",
+           "The Barrett quotient is exact only with mu = floor(x^(2m-2) / f).",
+           ("tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference",)),
+    Mutant("barrett-remainder-unmasked", "src/streamfec/gf.py",
+           "v = (v & low) + ((a * self._nf) & low)", "v = (v & low) + (a * self._nf)",
+           "A nf spans 2m - 2 slots; its slots of degree >= m are A f's, not the "
+           "remainder's, and would stay in the packed element.",
+           ("tests/test_gf.py::test_reduction_at_its_largest_slot_values",)),
+    Mutant("erased-index-type-unchecked", "src/streamfec/channel.py",
+           "if type(e) is not int or not 0 <= e < self.horizon:", "if not 0 <= e < self.horizon:",
+           "ErasurePattern(5, (1.5,)) would pass to plan_stream, which shifts by each index.",
+           ("tests/test_channel.py::TestErasurePattern::test_non_int_index_rejected[1.5]",)),
 )
 
 

@@ -48,8 +48,9 @@ class ErasurePattern:
             raise ChannelError(f"horizon must be a non-negative int, got {self.horizon!r}")
         prev = -1
         for e in self.erased:
-            if not (0 <= e < self.horizon):
-                raise ChannelError(f"erased index {e} outside [0, {self.horizon})")
+            # plan_stream shifts by each index: a float or a bool is refused
+            if type(e) is not int or not 0 <= e < self.horizon:
+                raise ChannelError(f"erased index {e!r} is not an int in [0, {self.horizon})")
             if e <= prev:
                 raise ChannelError("erased indices must be strictly increasing")
             prev = e

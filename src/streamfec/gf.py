@@ -10,15 +10,15 @@ No log or multiplication tables, no floating point: all operations are exact.
 An element is stored packed, as one integer with coefficient i in Kronecker
 slot i, and the coefficient tuple is derived from it on demand.  A sum,
 difference, negation or product is one big-integer operation on the packed
-operands followed by one reduction, Field._reduce, which folds each slot of
-degree >= m back through alpha^d mod the modulus and takes every slot mod q,
-many slots per multiply-shift.  A sum has no slot of degree >= m, so it
-skips the fold; a difference first adds q to every slot, so no slot goes
-negative.  ``Field.evaluate_plans`` is the one sum of products: it sums raw
-products before that reduction (slots are wide enough for DOT_TERMS
-products, and a longer sum reduces in chunks), and the sums of a plan set
-reduce together, as blocks of one integer.  It trusts its operands:
-Field.check checks each element once, where it enters the library.
+operands followed by one reduction, Field._reduce, which reduces the slots
+of degree >= m mod the modulus through one Barrett quotient and takes every
+slot mod q, many slots per multiply-shift.  A sum has no slot of degree >= m,
+so it skips the quotient; a difference first adds q to every slot, so no
+slot goes negative.  ``Field.evaluate_plans`` is the one sum of products:
+it sums raw products before that reduction (slots are wide enough for
+DOT_TERMS products, and a longer sum reduces in chunks), and the sums of a
+plan set reduce together, as blocks of one integer.  It trusts its
+operands: Field.check checks each element once, where it enters the library.
 Inversion runs the extended Euclidean algorithm over Z_q[x] against the
 modulus, not a q^m - 2 power, once per distinct element: each field keeps
 a table of the inverses it has computed, both ways, up to INVERSE_CAP
@@ -313,20 +313,20 @@ class Field:
         self.q = q
         self.m = m
         self.modulus = tuple(modulus)
-        # Kronecker slot width.  A raw product puts at most m (q-1)^2 in a
-        # slot, evaluate_plans sums DOT_TERMS of them, and _reduce's fold
-        # adds up to (m-1) (q-1)^2 more to each low slot: the slot holds all.
-        s = ((DOT_TERMS * m + m - 1) * (q - 1) ** 2).bit_length()
+        # Kronecker slot width: evaluate_plans sums DOT_TERMS raw products of
+        # at most m (q-1)^2 a slot, _reduce adds (m-1) (q-1)^2 more, and
+        # q.bit_length() spare bits keep each slot below 2^s / q for _mod_slots.
+        s = ((DOT_TERMS * m + m - 1) * (q - 1) ** 2).bit_length() + q.bit_length()
         self._slot = s
         self._mask = (1 << s) - 1
         self._low = (1 << (s * m)) - 1
         self._width = (2 * m - 1) * s  # _reduce's block: the slots of a raw product
         # q in every slot: subtracting from it keeps each slot non-negative
         self._slot_q = self._pack([q] * m)
-        # alpha^d mod modulus for d in [m, 2m-2], packed
-        self._red = [self._pack(_poly_mod([0] * d + [1], modulus, q)) for d in range(m, 2 * m - 1)]
-        K = s + q.bit_length()  # _mod_slots: floor(x / q) = floor(x c / 2^K), x < 2^s
-        self._div = (-(-(1 << K) // q), K)
+        # _reduce's Barrett constants: floor(x^(2m-2) / modulus) and x^m mod it
+        self._mu = self._pack(_poly_divmod([0] * (2 * m - 2) + [1], modulus, q)[0])
+        self._nf = self._pack([-c % q for c in modulus[:m]])
+        self._div = -(-(1 << s) // q)  # _mod_slots: x // q = x c >> s for x < 2^s / q
         self._batch: dict[int, tuple] = {}  # _reduce's masks per block count, lazily
         self._inv: dict[int, int] = {}  # FieldElement.inverse's table, pk to pk
         self.zero = FieldElement(self, 0)
@@ -376,35 +376,39 @@ class Field:
 
     def _reduce(self, v: int, count: int = 1) -> int:
         """Reduce count raw sums of packed products, held as blocks of 2m - 1
-        slots (sum b at bit b (2m - 1) s), in the same layout: the high slots
-        d >= m of every block are taken mod q and folded back through
-        alpha^d mod the modulus, then every low slot is taken mod q.  A sum
-        with no high slot, such as a product by a prime-subfield element,
-        needs only the last step."""
-        lo_groups, hi_groups, slot0, low = self._batch.get(count) or self._masks(count)
+        slots (sum b at bit b (2m - 1) s), in the same layout.  Per block the
+        high slots mod q are v_h x^m, deg v_h <= m - 2.  With v_h x^m = A f + r
+        and x^(2m-2) = mu f + rho for the modulus f, v_h mu = A x^(m-2) +
+        (r x^(m-2) - v_h rho) / f, whose last term has degree < m - 2: the
+        Barrett quotient A is exact.  r, the low m slots of A nf = -A f_low,
+        joins the low slots, then every low slot is taken mod q.  Each product
+        puts at most (m-1) (q-1)^2 in a slot within 2m - 2 slots, so no block
+        spills.  A sum with no high slot needs only the last step."""
+        lo_groups, hi_groups, quot, low = self._batch.get(count) or self._masks(count)
         if v & low != v:
-            h = self._mod_slots(v, hi_groups)
-            v &= low
-            for d, r in enumerate(self._red, self.m):
-                v += ((h >> (d * self._slot)) & slot0) * r
+            s = self._slot
+            h = (self._mod_slots(v, hi_groups) >> (self.m * s)) & quot
+            a = self._mod_slots(((h * self._mu) >> ((self.m - 2) * s)) & quot, lo_groups)
+            v = (v & low) + ((a * self._nf) & low)
         return self._mod_slots(v, lo_groups)
 
     def _mod_slots(self, v: int, groups: tuple) -> int:
-        """Each slot x < 2^s of the groups mod q, as x - q floor(x c / 2^K): a
-        group holds every third slot, so each product keeps to its 3s bits."""
-        c, K = self._div
-        g0, g1, g2 = groups
-        return v - self.q * ((((v & g0) * c >> K) & g0) + (((v & g1) * c >> K) & g1)
-                             + (((v & g2) * c >> K) & g2))
+        """Each slot x < 2^s / q of the groups mod q, as x - q floor(x c / 2^s):
+        x c < 2^(2s), and a group holds every second slot, so each product
+        keeps to its 2s bits and its fraction bits to the slot below."""
+        c, s = self._div, self._slot
+        g0, g1 = groups
+        return v - self.q * ((((v & g0) * c >> s) & g0) + (((v & g1) * c >> s) & g1))
 
     def _masks(self, count: int) -> tuple:
         """_reduce's masks for count blocks, made once."""
         s, slots = self._slot, 2 * self.m - 1
-        groups = [[0, 0, 0], [0, 0, 0]]  # [low or high slot][slot index mod 3]
+        groups = [[0, 0], [0, 0]]  # [low or high slot][slot index mod 2]
         for i in range(count * slots):
-            groups[i % slots >= self.m][i % 3] |= self._mask << (i * s)
+            groups[i % slots >= self.m][i % 2] |= self._mask << (i * s)
         ones = sum(1 << (b * slots * s) for b in range(count))
-        self._batch[count] = (*map(tuple, groups), ones * self._mask, ones * self._low)
+        quot = ones * ((1 << (s * (self.m - 1))) - 1)  # slots 0 .. m-2 of each block
+        self._batch[count] = (*map(tuple, groups), quot, ones * self._low)
         return self._batch[count]
 
     def evaluate_plans(self, plans, x) -> list[FieldElement]:

@@ -25,6 +25,14 @@ class TestErasurePattern:
             with pytest.raises(ChannelError, match="horizon"):
                 build()
 
+    @pytest.mark.parametrize("index", [1.5, True, 2.0, "2", None])
+    def test_non_int_index_rejected(self, index):
+        # make, and so from_text, builds through the same check
+        for build in (lambda: ErasurePattern(5, (index,)), lambda: ErasurePattern.make(5, [index]),
+                      lambda: ErasurePattern(5, (0, index))):
+            with pytest.raises(ChannelError, match="not an int"):
+                build()
+
     def test_make_sorts_and_dedups(self):
         p = ErasurePattern.make(6, [4, 1, 4])
         assert p.erased == (1, 4)

@@ -672,7 +672,8 @@ def _reduce_per_slot(f, v):
     is taken mod q.  Shares no step with Field._reduce's batched masks."""
     q, s, mask = f.q, f._slot, f._mask
     lo, hi = v & f._low, v >> (s * f.m)
-    for r in f._red:
+    for d in range(f.m, 2 * f.m - 1):
+        r = f._pack(gf._poly_mod([0] * d + [1], f.modulus, q))  # alpha^d mod the modulus
         lo += (hi & mask) % q * r
         hi >>= s
     return sum(((lo >> (s * i)) & mask) % q << (s * i) for i in range(f.m))
@@ -706,3 +707,19 @@ def test_batched_reduction_equals_per_block_reduce(fs):
     packed = sum(v << (b * w) for b, v in enumerate(sums))
     assert f._reduce(packed, len(sums)) == sum(_reduce_per_slot(f, v) << (b * w)
                                                for b, v in enumerate(sums))
+
+
+def test_reduction_at_its_largest_slot_values():
+    """Per field with q <= 13 and m <= M_LIMIT, _reduce of blocks at the
+    slot bounds the width and the Barrett quotient are sized for:
+    DOT_TERMS top-element products, one such product, zero and
+    DOT_TERMS top * alpha."""
+    for q in (2, 3, 5, 7, 11, 13):
+        for m in range(1, M_LIMIT + 1):
+            f = GF(q, m)
+            top = f((q - 1,) * m).pk
+            sums = [DOT_TERMS * top * top, top * top, 0, DOT_TERMS * top * f.alpha.pk]
+            w = (2 * m - 1) * f._slot
+            packed = sum(v << (b * w) for b, v in enumerate(sums))
+            assert f._reduce(packed, len(sums)) == sum(_reduce_per_slot(f, v) << (b * w)
+                                                       for b, v in enumerate(sums)), (q, m)
