@@ -157,11 +157,28 @@ MUTANTS = (
            "v = (v & low) + ((a * self._nf) & low)", "v = (v & low) + (a * self._nf)",
            "A nf spans 2m - 2 slots; its slots of degree >= m are A f's, not the "
            "remainder's, and would stay in the packed element.",
-           ("tests/test_gf.py::test_reduction_at_its_largest_slot_values",)),
+           ("tests/test_gf.py::test_reduction_at_its_largest_slot_values",
+            "tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference[2-4]",
+            "tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference[3-3]",
+            "tests/test_gf.py::TestPackedArithmetic::test_seeded_pairs_match_reference")),
     Mutant("erased-index-type-unchecked", "src/streamfec/channel.py",
            "if type(e) is not int or not 0 <= e < self.horizon:", "if not 0 <= e < self.horizon:",
            "ErasurePattern(5, (1.5,)) would pass to plan_stream, which shifts by each index.",
            ("tests/test_channel.py::TestErasurePattern::test_non_int_index_rejected[1.5]",)),
+    Mutant("ben-or-one-round-short", "src/streamfec/gf.py",
+           "    for _ in range(m // 2):\n", "    for _ in range(m // 2 - 1):\n",
+           "A reducible f may have no factor of degree below m/2: x^(q^(m/2)) - x "
+           "must be tested too.",
+           ("tests/test_gf.py::TestFindIrreducible::test_is_irreducible_matches_brute_force",)),
+    Mutant("euclid-bezout-sign", "src/streamfec/gf.py",
+           "self._pack([-c % self.q for c in quot])", "self._pack([c for c in quot])",
+           "The Bezout coefficient keeps s a == r only as s0 - quot s1.",
+           ("tests/test_gf.py::TestInverse::test_equals_fermat_reference",)),
+    Mutant("ben-or-gcd-without-x", "src/streamfec/gf.py",
+           "f._euclid(h - f.alpha)", "f._euclid(h)",
+           "Ben-Or's gcd is with x^(q^i) - x; x^(q^i) alone is a unit whenever x "
+           "does not divide f.",
+           ("tests/test_gf.py::TestFindIrreducible::test_is_irreducible_matches_brute_force",)),
 )
 
 

@@ -19,14 +19,15 @@ it sums raw products before that reduction (slots are wide enough for
 DOT_TERMS products, and a longer sum reduces in chunks), and the sums of a
 plan set reduce together, as blocks of one integer.  It trusts its
 operands: Field.check checks each element once, where it enters the library.
-Inversion runs the extended Euclidean algorithm over Z_q[x] against the
-modulus, not a q^m - 2 power, once per distinct element: each field keeps
-a table of the inverses it has computed, both ways, up to INVERSE_CAP
-entries.  The modulus check is Ben-Or's test, m/2 rounds of one power by q
-and one gcd mod the modulus, so no step of the modulus search or check
-grows with q faster than log q, and neither does is_prime's Miller-Rabin
-test of q itself.  GF refuses m above M_LIMIT, so the check's growth with
-m is bounded too.
+Polynomial lists are long division only; every product mod the modulus is
+a packed one.  One Euclid loop, Field._euclid, serves the inverse and
+Ben-Or's test.  Inversion runs it against the modulus, not a q^m - 2 power,
+once per distinct element: each field keeps a table of the inverses it has
+computed, both ways, up to INVERSE_CAP entries.  The modulus check is
+Ben-Or's test on the packed ring of the candidate, m/2 rounds of one power
+by q and one Euclid, so no step of the modulus search or check grows with q
+faster than log q, and neither does is_prime's Miller-Rabin test of q.  GF
+refuses m above M_LIMIT, so the check's growth with m is bounded too.
 """
 from __future__ import annotations
 
@@ -71,31 +72,15 @@ def next_prime(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Z_q, as coefficient lists, constant term first.
-# Used for modulus selection and for the Euclidean inverse; multiplication
-# of elements lives in Field.
+# Polynomials over Z_q, as coefficient lists, constant term first: long
+# division only, for Field._euclid's remainders and _reduce's Barrett
+# constant.  Every product mod the modulus is a packed Field operation.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _poly_trim(out)
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % q
-    return _poly_trim(out)
 
 
 def _poly_divmod(a: Sequence[int], f: Sequence[int], q: int) -> tuple[list[int], list[int]]:
@@ -117,43 +102,24 @@ def _poly_divmod(a: Sequence[int], f: Sequence[int], q: int) -> tuple[list[int],
     return _poly_trim(quot), _poly_trim(r)
 
 
-def _poly_mod(a: Sequence[int], f: Sequence[int], q: int) -> list[int]:
-    return _poly_divmod(a, f, q)[1]
-
-
-def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], q: int) -> list[int]:
-    result = [1]
-    b = _poly_mod(base, f, q)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, b, q), f, q)
-        b = _poly_mod(_poly_mul(b, b, q), f, q)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    # a gcd up to a unit factor: only its degree is read
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b, q)
-    return a
-
-
 def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     """Ben-Or's test for a monic f of degree m over Z_q (constant term first).
 
     x^(q^i) - x is the product of the monic irreducibles whose degree divides
     i, and a reducible f has a factor of degree <= m/2, so f is irreducible
     iff gcd(x^(q^i) - x, f) = 1 for every i <= m/2.  Round 1 is a root test.
+    Each round powers by q on the packed ring and reads the gcd off
+    Field._euclid, which reaches a nonzero constant iff it is 1.
     """
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
-    f, x, h = list(coeffs), [0, 1], [0, 1]
+    # x^(q^i) mod f in the ring Z_q[x]/f, uninterned: it needs no inverse
+    f = Field(q, m, coeffs)
+    h = f.alpha
     for _ in range(m // 2):
-        h = _poly_powmod(h, q, f, q)
-        if len(_poly_gcd(_poly_sub(h, x, q), f, q)) != 1:
+        h = h ** q
+        if not f._euclid(h - f.alpha)[0]:
             return False
     return True
 
@@ -255,27 +221,19 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """Extended Euclid over Z_q[x] against the modulus; the final
-        constant (the element itself in GF(q)) is inverted by Fermat.  The
-        field's table answers a repeat and stores each new inverse both
-        ways while it has room; zero raises and is never stored."""
+        """Field._euclid against the modulus, then one scale by the inverse
+        of its final constant c, c^(q-2) by Fermat.  The field's table
+        answers a repeat and stores each new inverse both ways while it has
+        room; zero raises and is never stored."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
         inv = f._inv.get(self.pk)
         if inv is not None:
             return FieldElement(f, inv)
-        q = f.q
-        # invariant: s_i * self == r_i mod the modulus; the modulus is
-        # irreducible, so the remainders reach a nonzero constant
-        r0, r1 = list(f.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            quot, rem = _poly_divmod(r0, r1, q)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1, q), q)
-        c = pow(r1[0], q - 2, q)
-        inv = f._pack([v * c % q for v in s1])
+        # the modulus is irreducible, so the remainders reach s * self == c != 0
+        (c,), s = f._euclid(self)
+        inv = f._reduce(s.pk * pow(c, f.q - 2, f.q))
         if len(f._inv) < INVERSE_CAP - 1:  # room for both entries
             f._inv[self.pk] = inv
             f._inv[inv] = self.pk
@@ -306,7 +264,9 @@ class Field:
 
     Instances are interned: ``GF(q, m)`` always returns the same object,
     so identity comparison is field-spec comparison.  GF checks the spec;
-    the constructor trusts it.
+    the constructor trusts it.  + - * ** are valid in the ring Z_q[x]/f for
+    any monic f, as is_irreducible uses them; only inverse needs f
+    irreducible.
     """
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...]):
@@ -350,6 +310,20 @@ class Field:
         if any(type(c) is not int or not 0 <= c < self.q for c in coeffs):
             raise FieldError(f"coefficients must be int residues in [0, {self.q}), got {coeffs}")
         return FieldElement(self, self._pack(coeffs))
+
+    def _euclid(self, a: FieldElement) -> tuple[list[int], FieldElement]:
+        """Euclid on the modulus and a, to the first remainder r of degree
+        < 1, with s a == r mod the modulus.  r == [c], c != 0, iff a is a
+        unit; r == [] otherwise.  Every quotient has degree < m, so the
+        Bezout coefficient s stays packed: s0 - quot s1 is one raw sum,
+        s0 + (-quot) s1, and one reduction."""
+        r0, r1 = list(self.modulus), _poly_trim(list(a.coeffs))
+        s0, s1 = 0, 1
+        while len(r1) > 1:
+            quot, rem = _poly_divmod(r0, r1, self.q)
+            r0, r1 = r1, rem
+            s0, s1 = s1, self._reduce(s0 + self._pack([-c % self.q for c in quot]) * s1)
+        return r1, FieldElement(self, s1)
 
     def check(self, values: Iterable) -> None:
         """Raise TypeError or FieldMismatchError for the first value not in this field."""

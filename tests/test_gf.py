@@ -241,14 +241,14 @@ class TestFindIrreducible:
     def test_no_small_factor_by_trial_division(self):
         # divide by every monic polynomial of degree <= m/2
         import itertools
-        from streamfec.gf import _poly_mod
+        from streamfec.gf import _poly_divmod
 
         for q, m in [(2, 4), (3, 4), (5, 3)]:
             f = list(find_irreducible(q, m))
             for deg in range(1, m // 2 + 1):
                 for lower in itertools.product(range(q), repeat=deg):
                     g = list(lower) + [1]
-                    assert _poly_mod(f, g, q) != [] or g == f
+                    assert _poly_divmod(f, g, q)[1] != [] or g == f
 
     @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3) for m in range(2, 7)]
                              + [(q, m) for q in (5, 7) for m in range(2, 5)])
@@ -374,12 +374,29 @@ class TestInverse:
         for a in _nonzero_elements(f, sample):
             assert a.inverse() == a ** (f.q ** f.m - 2)
 
-    def test_extension_inverse_makes_no_field_multiply(self, reduce_calls):
-        f = GF(7, 9)
+    def test_extension_inverse_is_euclid_not_a_power(self, reduce_calls):
+        # Euclid makes one reduction per step, at most m - 1 steps, and the
+        # scale one more; the 25 squarings of a Fermat power alone make more
+        f = _fresh_field(7, 9)
         a = f((3, 1, 4, 1, 5, 0, 2, 6, 5))
         inv = a.inverse()
-        assert reduce_calls == []
+        assert 0 < len(reduce_calls) <= f.m
+        reduce_calls.clear()
         assert a * inv == f.one and reduce_calls == [1]
+
+    def test_euclid_finds_the_units_of_a_ring(self):
+        # x^2 + 2 = (x - 1)(x + 1) over Z_3: Z_3[x]/f is a ring, not a field,
+        # and Ben-Or's test runs _euclid on such rings
+        ring = gf.Field(3, 2, (2, 0, 1))
+        elems = _all_elements(ring)
+        units = 0
+        for a in elems[1:]:
+            r, s = ring._euclid(a)
+            assert bool(r) == any(a * b == ring.one for b in elems), a
+            if r:
+                assert s * a == ring(r[0]), a
+                units += 1
+        assert units == 4  # Z_3 x Z_3 has 4 units and 4 nonzero zero divisors
 
     @pytest.mark.parametrize("q,m", [(7, 1), (2, 5), (7, 9)])
     def test_zero_division_and_quotients(self, q, m):
@@ -536,14 +553,16 @@ def _ref_mul(f, a, b):
 
 
 def _check_against_reference(f, a, b):
+    """Whole packed elements are compared, not .coeffs, so a result with
+    stray bits above slot m - 1 fails."""
     ca, cb = a.coeffs, b.coeffs
-    one = (1,) + (0,) * (f.m - 1)
-    assert (a + b).coeffs == _ref_add(f, ca, cb)
-    assert (a - b).coeffs == _ref_add(f, ca, _ref_neg(f, cb))
-    assert (-a).coeffs == _ref_neg(f, ca)
-    assert (a * b).coeffs == _ref_mul(f, ca, cb)
+    assert a + b == f(_ref_add(f, ca, cb))
+    assert a - b == f(_ref_add(f, ca, _ref_neg(f, cb)))
+    assert -a == f(_ref_neg(f, ca))
+    assert a * b == f(_ref_mul(f, ca, cb))
     if b:
-        assert _ref_mul(f, cb, b.inverse().coeffs) == one
+        inv = b.inverse()
+        assert inv == f(inv.coeffs) and f(_ref_mul(f, cb, inv.coeffs)) == f.one
 
 
 def _all_elements(f):
@@ -673,7 +692,7 @@ def _reduce_per_slot(f, v):
     q, s, mask = f.q, f._slot, f._mask
     lo, hi = v & f._low, v >> (s * f.m)
     for d in range(f.m, 2 * f.m - 1):
-        r = f._pack(gf._poly_mod([0] * d + [1], f.modulus, q))  # alpha^d mod the modulus
+        r = f._pack(gf._poly_divmod([0] * d + [1], f.modulus, q)[1])  # alpha^d mod the modulus
         lo += (hi & mask) % q * r
         hi >>= s
     return sum(((lo >> (s * i)) & mask) % q << (s * i) for i in range(f.m))
