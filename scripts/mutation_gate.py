@@ -179,6 +179,26 @@ MUTANTS = (
            "Ben-Or's gcd is with x^(q^i) - x; x^(q^i) alone is a unit whenever x "
            "does not divide f.",
            ("tests/test_gf.py::TestFindIrreducible::test_is_irreducible_matches_brute_force",)),
+    Mutant("admissible-window-one-slot-wide", "src/streamfec/channel.py",
+           "while erased[lo] <= e - W:", "while erased[lo] < e - W:",
+           "The window that ends at erasure e is (e - W, e]; keeping e - W makes it "
+           "W + 1 slots, and two events W slots apart read as one window.",
+           ("tests/test_channel.py::TestIsAdmissible::test_matches_window_by_window_reference",
+            "tests/test_channel.py::TestIsAdmissible::"
+            "test_long_sampled_streams_match_reference[10-9-5-3]")),
+    Mutant("admissible-entering-erasure-dropped", "src/streamfec/channel.py",
+           "event_kind(erased[lo:j + 1], B, N)", "event_kind(erased[lo:j], B, N)",
+           "Each window checked must hold the erasure that ends it, or a burst of "
+           "B + 1 reads as a burst of B.",
+           ("tests/test_channel.py::TestIsAdmissible::test_long_burst_violates_both_clauses",
+            "tests/test_channel.py::TestIsAdmissible::"
+            "test_long_sampled_streams_match_reference[6-9-3-2]")),
+    Mutant("plan-stream-one-packet-short", "src/streamfec/stream.py",
+           "erased[:bisect_left(erased, num_source)]",
+           "erased[:bisect_left(erased, num_source - 1)]",
+           "The last source packet, when erased, needs its plan and its latency.",
+           ("tests/test_stream.py::TestDecode::test_plan_only_latencies_match_golden",
+            "tests/test_stream.py::TestDecode::test_matches_reference_decoder[params0]")),
 )
 
 

@@ -3,12 +3,11 @@
 A pattern is admissible for (W, B, N) when every window of W consecutive
 slots sees either at most N erasures at arbitrary positions or one
 contiguous burst of at most B erasures.  Burst and sparse windows may
-coexist in one stream; the predicate is evaluated per window.
+coexist in one stream; is_admissible checks one window per erasure.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -81,16 +80,18 @@ def event_kind(erased: Sequence[int], B: int, N: int) -> Optional[str]:
 
 
 def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
-    """Every W-slot window holds one loss event (event_kind).  Only start 0
-    and the starts e - W + 1, where erasure e enters, are checked: in between
-    a window only loses its earliest erasure, which keeps one event one."""
+    """Every W-slot window holds one loss event (event_kind), in one pass.
+    A window's erasures are a suffix of those in (e - W, e], e its last
+    erasure; for e < W - 1 that set is a prefix of window 0's, clipped to the
+    horizon.  A prefix or a suffix of one event is one event, so checking
+    (e - W, e] for each erasure e is exact, short horizons included."""
     if W < 1:
         raise ChannelError("window must be >= 1")
-    erased = p.erased
-    # A horizon shorter than the window is one partial window, start 0.
-    for start in (0, *(e - W + 1 for e in erased if e >= W)):
-        hits = erased[bisect_left(erased, start):bisect_left(erased, start + W)]
-        if event_kind(hits, B, N) is None:
+    erased, lo = p.erased, 0
+    for j, e in enumerate(erased):
+        while erased[lo] <= e - W:
+            lo += 1
+        if event_kind(erased[lo:j + 1], B, N) is None:
             return False
     return True
 

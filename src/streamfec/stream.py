@@ -22,6 +22,7 @@ on the received values.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,12 +103,10 @@ class StreamReport:
 
 
 def _packet_plan(g: GeneratorSet, local: int) -> tuple:
-    """Erased packet t's (latency or None, (slot offset, row) reads, {j: steps}
-    per symbol j met by its deadline); bit b of local is slot t - k + 1 + b
-    erased.  Cached under the int local, which equals no frozenset key."""
-    plan = g._plan_cache.get(local)
-    if plan is not None:
-        return plan
+    """Compile erased packet t's (latency or None, (slot offset, row) reads,
+    {j: steps} per symbol j met by its deadline); bit b of local is slot
+    t - k + 1 + b erased.  plan_stream looks the plan up first; it is stored
+    under the int local, which equals no frozenset key."""
     dd = g.derived
     worst, reads, steps = 0, {}, {}
     for j in range(dd.k):  # symbol j lies at position j of diagonal t - j
@@ -132,13 +131,14 @@ def plan_stream(g: GeneratorSet, pattern: ErasurePattern,
     if num_source < 0 or num_source + n - 1 > pattern.horizon:
         raise StreamError("stream too short for the requested source packet count")
     # bit t + k - 1 is set iff slot t is erased; cold-start slots t < 0 read as received
-    mask = sum(1 << (t + k - 1) for t in pattern.erased)
+    erased, mask = pattern.erased, sum(1 << (t + k - 1) for t in pattern.erased)
     span = (1 << (n + k - 1)) - 1
-    plans = {t: _packet_plan(g, (mask >> t) & span) for t in pattern.erased if t < num_source}
-    latencies = [0] * num_source
-    for t, plan in plans.items():
+    plans, latencies, cache = {}, [0] * num_source, g._plan_cache
+    for t in erased[:bisect_left(erased, num_source)]:
+        local = (mask >> t) & span
+        plans[t] = plan = cache.get(local) or _packet_plan(g, local)  # a plan is a 3-tuple
         latencies[t] = plan[0]
-    return plans, StreamReport(len(pattern.erased), tuple(latencies))
+    return plans, StreamReport(len(erased), tuple(latencies))
 
 
 def stream_decode(received: Sequence, g: GeneratorSet,

@@ -1,4 +1,8 @@
+import hashlib
+import random
+from bisect import bisect_left
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,22 @@ from hypothesis import given, settings, strategies as st
 from streamfec.channel import (BudgetError, ChannelError, ERASED, ErasurePattern,
                                apply, enumerate_block_patterns, event_kind, is_admissible,
                                sample_stream_pattern)
+
+
+# (W, T, B, N) of the long sampled streams: ex1, ex2 and (6, 9, 3, 2)
+LONG_CODES = [(10, 9, 5, 3), (11, 10, 4, 2), (6, 9, 3, 2)]
+
+
+def every_window_reference(erased, horizon, W, B, N):
+    """A direct reading of the definition on sorted erasures: each window
+    [s, s + W) clipped to the horizon, at least one window, holds at most N
+    erasures or one run of at most B."""
+    for s in range(max(horizon - W + 1, 1)):
+        hits = erased[bisect_left(erased, s):bisect_left(erased, min(s + W, horizon))]
+        run = list(hits) == list(range(hits[0], hits[0] + len(hits))) if hits else True
+        if not (len(hits) <= N or (run and len(hits) <= B)):
+            return False
+    return True
 
 
 class TestErasurePattern:
@@ -76,33 +96,22 @@ class TestIsAdmissible:
         assert not is_admissible(ErasurePattern.make(12, [3, 5, 6]), 5, 3, 2)
 
     def test_matches_window_by_window_reference(self):
-        """Every pattern with horizon <= 8 against a direct reading of the
-        definition: each window [s, s+W) clipped to the horizon, at least
-        one window, holds at most N erasures or one run of at most B."""
-
-        def reference(erased, horizon, W, B, N):
-            for s in range(max(horizon - W + 1, 1)):
-                hits = [e for e in erased if s <= e < min(s + W, horizon)]
-                run = hits == list(range(hits[0], hits[0] + len(hits))) if hits else True
-                if not (len(hits) <= N or (run and len(hits) <= B)):
-                    return False
-            return True
-
+        """Every pattern with horizon <= 8 against the every-window reference."""
         channels = [(W, B, N) for W in range(1, 10) for B in range(1, 4) for N in range(1, B + 1)]
         for horizon in range(9):
             for size in range(horizon + 1):
                 for combo in combinations(range(horizon), size):
                     p = ErasurePattern(horizon, combo)
                     for W, B, N in channels:
-                        want = reference(combo, horizon, W, B, N)
+                        want = every_window_reference(combo, horizon, W, B, N)
                         assert is_admissible(p, W, B, N) == want, (combo, horizon, W, B, N)
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_entry_starts_agree_with_every_window(self, data):
-        """Checking start 0 and the starts where an erasure enters a window
-        agrees with checking every window: short horizons, W = 1, no erasures
-        and erasures at slot 0 and at the last slot included."""
+        """Checking the window (e - W, e] that ends at each erasure e agrees
+        with checking every window: short horizons, W = 1, no erasures and
+        erasures at slot 0 and at the last slot included."""
         horizon = data.draw(st.integers(0, 40))
         W = data.draw(st.integers(1, 12))
         B = data.draw(st.integers(1, 5))
@@ -114,6 +123,21 @@ class TestIsAdmissible:
         windows = [[e for e in p.erased if s <= e < s + W] for s in range(max(horizon - W + 1, 1))]
         every = all(event_kind(hits, B, N) is not None for hits in windows)
         assert is_admissible(p, W, B, N) == every
+
+    @pytest.mark.parametrize("W, T, B, N", LONG_CODES)
+    def test_long_sampled_streams_match_reference(self, W, T, B, N):
+        """Sampled 5,000-slot patterns, hundreds of events each, and each with
+        one seeded extra erasure, agree with the every-window reference; the
+        extra erasure makes some of them inadmissible."""
+        verdicts = []
+        for seed in range(8):
+            p = sample_stream_pattern(5000, W, B, N, seed)
+            extra = random.Random(seed).choice(sorted(set(range(5000)) - set(p.erased)))
+            for q in (p, ErasurePattern.make(5000, {*p.erased, extra})):
+                want = every_window_reference(q.erased, q.horizon, W, B, N)
+                assert is_admissible(q, W, B, N) == want, (W, B, N, seed, q.erased == p.erased)
+                verdicts.append(want)
+        assert set(verdicts) == {True, False}
 
     @given(st.sets(st.integers(min_value=0, max_value=11), max_size=6))
     @settings(max_examples=300, deadline=None)
@@ -193,6 +217,19 @@ class TestSampleStreamPattern:
         densities = [len(sample_stream_pattern(500, 11, 4, 2, s).erased) / 500
                      for s in range(50)]
         assert max(densities) > 0
+
+    def test_long_patterns_match_golden(self):
+        """5,000-slot patterns of ex1, ex2 and (6,9,3,2), seeds 0-5: one line
+        per (code, seed) with the erased count and the SHA-256 of to_text()
+        equals tests/golden, so a change to the draws fails here by name."""
+        lines = []
+        for W, T, B, N in LONG_CODES:
+            for seed in range(6):
+                p = sample_stream_pattern(5000, W, B, N, seed)
+                digest = hashlib.sha256(p.to_text().encode()).hexdigest()
+                lines.append(f"{W},{T},{B},{N} {seed} {len(p.erased)} {digest}")
+        golden = Path(__file__).parent / "golden" / "sampled_patterns.txt"
+        assert "\n".join(lines) + "\n" == golden.read_text()
 
     def test_short_horizon_admissible(self):
         # a horizon shorter than W is one partial window
