@@ -106,10 +106,16 @@ MUTANTS = (
            "Only the cold-start slots before 0 read as zero; slot 0 is received.",
            ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params0]",)),
     Mutant("packet-plan-key-one-slot-short", "src/streamfec/stream.py",
-           "span = (1 << (n + k - 1)) - 1", "span = (1 << (n + k - 2)) - 1",
+           "erased[ahead] < t + n:", "erased[ahead] < t + n - 1:",
            "A packet plan's key must hold the erasure bits of all n + k - 1 "
            "slots its k diagonals span, or two patterns share one plan.",
-           ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params2]",)),
+           ("tests/test_stream.py::TestDecode::test_sliding_key_matches_big_mask_key[params0]",
+            "tests/test_stream.py::TestDecode::test_matches_reference_decoder[params2]")),
+    Mutant("packet-plan-key-slid-too-far", "src/streamfec/stream.py",
+           "local >>= t - prev\n", "local >>= t - prev + 1\n",
+           "The key slides by the slots between two erased source packets; one "
+           "more drops the erasure bit of the oldest slot the key must hold.",
+           ("tests/test_stream.py::TestDecode::test_sliding_key_matches_big_mask_key[params0]",)),
     Mutant("oracle-rank-test-dropped", "src/streamfec/decoder.py",
            "        if not any(col[len(basis):]):\n", "        if True:\n",
            "A symbol whose unit vector lies outside the received span is lost; "
@@ -199,6 +205,30 @@ MUTANTS = (
            "The last source packet, when erased, needs its plan and its latency.",
            ("tests/test_stream.py::TestDecode::test_plan_only_latencies_match_golden",
             "tests/test_stream.py::TestDecode::test_matches_reference_decoder[params0]")),
+    Mutant("sampler-below-one-unchecked", "src/streamfec/channel.py",
+           "    if min(W, B, N) < 1:  # below(0) would draw forever\n"
+           "        raise ChannelError(f\"W, B and N must be >= 1, got {W}, {B}, {N}\")\n", "",
+           "getrandbits(0) is 0, so a draw below 0 never ends: W, B or N below 1 "
+           "must be refused before the first draw.",
+           ("tests/test_channel.py::TestSampleStreamPattern::"
+            "test_window_burst_or_sparse_below_one_refused[W]",
+            "tests/test_channel.py::TestSampleStreamPattern::"
+            "test_window_burst_or_sparse_below_one_refused[B]",
+            "tests/test_channel.py::TestSampleStreamPattern::"
+            "test_window_burst_or_sparse_below_one_refused[N]")),
+    Mutant("sample-pool-threshold-off-by-one", "src/streamfec/channel.py",
+           "if span <= 21 + ", "if span < 21 + ",
+           "sample draws from a pool for a 21-slot window and at most 5 erasures; "
+           "its set branch redraws below 21, not below 20, and the pattern changes.",
+           ("tests/test_channel.py::TestSampleStreamPattern::"
+            "test_draws_match_randrange_randint_sample_reference[21]",)),
+    Mutant("sampler-below-one-bit-short", "src/streamfec/channel.py",
+           "k = n.bit_length()", "k = (n - 1).bit_length()",
+           "randrange(n) draws n.bit_length() bits; for n a power of two one "
+           "fewer also covers [0, n) but reads other values than randrange does.",
+           ("tests/test_channel.py::TestSampleStreamPattern::"
+            "test_draws_match_randrange_randint_sample_reference[2]",
+            "tests/test_channel.py::TestSampleStreamPattern::test_long_patterns_match_golden")),
 )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import ceil, log
 from typing import Optional, Sequence
 
 
@@ -117,27 +118,51 @@ def enumerate_block_patterns(n: int, B: int, N: int) -> list[ErasurePattern]:
 def sample_stream_pattern(length: int, W: int, B: int, N: int, seed: int) -> ErasurePattern:
     """Seeded admissible pattern over a horizon of the given length.
 
-    Alternates burst events (length <= B) and sparse events (<= N erasures
-    inside one window) separated by at least W - 1 clean guard slots, so no
-    window ever sees two events.  Events are clipped to the horizon, which
-    may be shorter than W.  The result is re-checked before return.
+    Each event is, with probability 1/2, a burst (length <= B) or a sparse
+    event (<= N erasures inside one window); events are separated by at
+    least W - 1 clean guard slots, so no window ever sees two.  Events are
+    clipped to the horizon, which may be shorter than W.  The draws are
+    those of random.Random's randrange, randint and sample (3.10-3.13), read
+    from getrandbits directly; tests/golden pins the patterns.  The result
+    is re-checked before return.
     """
+    if min(W, B, N) < 1:  # below(0) would draw forever
+        raise ChannelError(f"W, B and N must be >= 1, got {W}, {B}, {N}")
     rng = random.Random(seed)
+    bits = rng.getrandbits
+
+    def below(n):  # randrange(n): n.bit_length() bits, values >= n redrawn
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     erased: list[int] = []
-    t = rng.randrange(0, W)
+    t = below(W)
     while t < length:
         if rng.random() < 0.5:
-            run = rng.randint(1, B)
-            run = min(run, length - t)
+            run = min(1 + below(B), length - t)
             erased.extend(range(t, t + run))
             event_end = t + run
         else:
-            count = rng.randint(1, N)
             span = min(W, length - t)
-            slots = sorted(rng.sample(range(t, t + span), min(count, span)))
+            count = min(1 + below(N), span)
+            # sample(range(t, t + span), count): a pool when it is smaller than a set
+            if span <= 21 + (4 ** ceil(log(3 * count, 4)) if count > 5 else 0):
+                pool, picked = list(range(t, t + span)), []
+                for i in range(count):
+                    j = below(span - i)
+                    picked.append(pool[j])
+                    pool[j] = pool[span - i - 1]
+            else:
+                picked = set()
+                while len(picked) < count:
+                    picked.add(t + below(span))
+            slots = sorted(picked)
             erased.extend(slots)
             event_end = slots[-1] + 1
-        t = event_end + (W - 1) + rng.randrange(0, W)
+        t = event_end + (W - 1) + below(W)
     p = ErasurePattern(length, tuple(erased))
     if not is_admissible(p, W, B, N):
         raise ChannelError("internal error: sampled pattern failed admissibility")

@@ -130,12 +130,15 @@ def plan_stream(g: GeneratorSet, pattern: ErasurePattern,
     n, k = g.derived.n, g.derived.k
     if num_source < 0 or num_source + n - 1 > pattern.horizon:
         raise StreamError("stream too short for the requested source packet count")
-    # bit t + k - 1 is set iff slot t is erased; cold-start slots t < 0 read as received
-    erased, mask = pattern.erased, sum(1 << (t + k - 1) for t in pattern.erased)
-    span = (1 << (n + k - 1)) - 1
+    erased, ahead = pattern.erased, 0  # erased[ahead] is the first erasure not yet in local
     plans, latencies, cache = {}, [0] * num_source, g._plan_cache
+    local = prev = 0  # bit b of local: slot prev - k + 1 + b erased; cold-start slots are not
     for t in erased[:bisect_left(erased, num_source)]:
-        local = (mask >> t) & span
+        local >>= t - prev
+        prev = t
+        while ahead < len(erased) and erased[ahead] < t + n:
+            local |= 1 << (erased[ahead] - t + k - 1)
+            ahead += 1
         plans[t] = plan = cache.get(local) or _packet_plan(g, local)  # a plan is a 3-tuple
         latencies[t] = plan[0]
     return plans, StreamReport(len(erased), tuple(latencies))

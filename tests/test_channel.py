@@ -28,6 +28,40 @@ def every_window_reference(erased, horizon, W, B, N):
     return True
 
 
+def reference_sample_stream_pattern(length, W, B, N, seed):
+    """sample_stream_pattern written with random.Random's randrange, randint
+    and sample: the erasures its getrandbits draws must reproduce."""
+    rng = random.Random(seed)
+    erased = []
+    t = rng.randrange(0, W)
+    while t < length:
+        if rng.random() < 0.5:
+            run = rng.randint(1, B)
+            run = min(run, length - t)
+            erased.extend(range(t, t + run))
+            event_end = t + run
+        else:
+            count = rng.randint(1, N)
+            span = min(W, length - t)
+            slots = sorted(rng.sample(range(t, t + span), min(count, span)))
+            erased.extend(slots)
+            event_end = slots[-1] + 1
+        t = event_end + (W - 1) + rng.randrange(0, W)
+    return tuple(erased)
+
+
+def golden_pattern_lines(codes):
+    """Per (code, seed 0-5): the erased count and the SHA-256 of to_text()
+    of a 5,000-slot sampled pattern."""
+    lines = []
+    for W, T, B, N in codes:
+        for seed in range(6):
+            p = sample_stream_pattern(5000, W, B, N, seed)
+            digest = hashlib.sha256(p.to_text().encode()).hexdigest()
+            lines.append(f"{W},{T},{B},{N} {seed} {len(p.erased)} {digest}")
+    return "\n".join(lines) + "\n"
+
+
 class TestErasurePattern:
     def test_ordering_enforced(self):
         with pytest.raises(ChannelError):
@@ -222,14 +256,41 @@ class TestSampleStreamPattern:
         """5,000-slot patterns of ex1, ex2 and (6,9,3,2), seeds 0-5: one line
         per (code, seed) with the erased count and the SHA-256 of to_text()
         equals tests/golden, so a change to the draws fails here by name."""
-        lines = []
-        for W, T, B, N in LONG_CODES:
-            for seed in range(6):
-                p = sample_stream_pattern(5000, W, B, N, seed)
-                digest = hashlib.sha256(p.to_text().encode()).hexdigest()
-                lines.append(f"{W},{T},{B},{N} {seed} {len(p.erased)} {digest}")
         golden = Path(__file__).parent / "golden" / "sampled_patterns.txt"
-        assert "\n".join(lines) + "\n" == golden.read_text()
+        assert golden_pattern_lines(LONG_CODES) == golden.read_text()
+
+    def test_wide_patterns_match_golden(self):
+        """As above for W = 22 and 23, whose sparse events of at most 5
+        erasures draw through sample's set branch (a window of more than 21
+        slots) and those of 6 to 8 through its pool branch."""
+        golden = Path(__file__).parent / "golden" / "sampled_patterns_wide.txt"
+        assert golden_pattern_lines([(22, 21, 8, 6), (23, 22, 8, 8)]) == golden.read_text()
+
+    @pytest.mark.parametrize("W", [2, 3, 10, 11, 21, 22, 30, 40])
+    def test_draws_match_randrange_randint_sample_reference(self, W):
+        """Equal to the randrange/randint/sample reference for every seed
+        0-19 and length 0, 1, W - 1, W, 3W + 1 and 2,000.  The (B, N) pairs
+        reach B and N up to 12, powers of two and not: windows of at most 21
+        slots draw through sample's pool, wider ones through its set for at
+        most 5 erasures and its pool (a set of 85) for 6 to 12."""
+        pairs = [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (5, 3), (5, 5), (6, 6),
+                 (8, 6), (8, 8), (12, 5), (12, 7), (12, 12)]
+        for B, N in pairs:
+            for length in sorted({0, 1, W - 1, W, 3 * W + 1, 2000}):
+                for seed in range(20):
+                    want = reference_sample_stream_pattern(length, W, B, N, seed)
+                    got = sample_stream_pattern(length, W, B, N, seed)
+                    assert got.erased == want, (length, W, B, N, seed)
+
+    @pytest.mark.parametrize("W, B, N", [(0, 2, 1), (10, 0, 1), (10, 2, 0)], ids=["W", "B", "N"])
+    def test_window_burst_or_sparse_below_one_refused(self, monkeypatch, W, B, N):
+        """Refused before any draw: a draw below 0 would never end, since
+        getrandbits(0) is 0."""
+        def no_draws(self, k):
+            raise AssertionError(f"drew {k} bits")
+        monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+        with pytest.raises(ChannelError, match="must be >= 1"):
+            sample_stream_pattern(100, W, B, N, 1)
 
     def test_short_horizon_admissible(self):
         # a horizon shorter than W is one partial window

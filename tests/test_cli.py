@@ -212,6 +212,9 @@ GOLDEN = [
     ("verify_ex1", ["verify", *EX1, "--trials", "1"], 0),
     # five blocks per pattern: trials 2-5 re-read each field's inverse table
     ("verify_ex1_default", ["verify", *EX1], 0),
+    # W = 22: sparse events of at most 5 erasures draw through sample's set branch
+    ("simulate_wide_w22", ["simulate", "--W", "22", "--T", "21", "--B", "8", "--N", "6",
+                           "--len", "200", "--trials", "2", "--seed", "3"], 0),
 ]
 
 

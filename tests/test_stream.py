@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfec.channel import ERASED, ErasurePattern, apply
+from streamfec.channel import (ERASED, ErasurePattern, apply, is_admissible,
+                               sample_stream_pattern)
 from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_check,
                               encode_stream, plan_stream, simulate, stream_decode)
 from streamfec.construction import (StreamParams, build_code, encode_block,
@@ -263,6 +264,38 @@ class TestDecode:
                            for off, row in reads)
                 offsets |= {off for off, _ in reads}
         assert min(offsets) >= 1 - d.k and max(offsets) == d.T_eff
+
+    @pytest.mark.parametrize("params", [(10, 9, 5, 3), (11, 10, 4, 2), (6, 9, 3, 2)])
+    def test_sliding_key_matches_big_mask_key(self, params):
+        """For every erased source slot t, plan_stream's plan equals
+        _packet_plan compiled on a fresh code under the key read from the
+        whole pattern as one integer, bit s + k - 1 for erased slot s:
+        (mask >> t) & (2^(n + k - 1) - 1).  Sampled streams, losses at the
+        cold-start slots 0 .. k - 2, in the n - 1 flush slots and a dense
+        inadmissible stream; on a fresh code, whose cache then holds exactly
+        the reference keys, and on one warm from the patterns before."""
+        base = code(params)
+        d, length, rng = base.derived, 60, random.Random(5)
+        n, k, horizon = d.n, d.k, length + d.n - 1
+        dense = ErasurePattern.make(horizon, [t for t in range(horizon) if rng.random() < 0.4])
+        assert not is_admissible(dense, d.W, d.B, d.N)
+        patterns = [sample_stream_pattern(horizon, d.W, d.B, d.N, seed) for seed in range(4)]
+        patterns += [ErasurePattern.make(horizon, [*range(k - 1), 20, 20 + n - 1]),
+                     ErasurePattern.make(horizon, [length - 2, length - 1,
+                                                   *range(length, horizon, 2)]), dense]
+        ref, warm, want = dataclasses.replace(base), dataclasses.replace(base), {}
+        for pat in patterns:
+            mask = sum(1 << (s + k - 1) for s in pat.erased)
+            keys = {t: (mask >> t) & ((1 << (n + k - 1)) - 1)
+                    for t in pat.erased if t < length}
+            for key in keys.values():
+                if key not in want:
+                    want[key] = stream._packet_plan(ref, key)
+            fresh = dataclasses.replace(base)
+            for g in (fresh, warm):
+                plans, _ = plan_stream(g, pat, length)
+                assert plans == {t: want[key] for t, key in keys.items()}, pat.erased
+            assert {key for key in fresh._plan_cache if isinstance(key, int)} == set(keys.values())
 
     def test_clean_stream_reduces_nothing(self, ex1, reduce_calls):
         sent = encode_stream(random_packets(ex1, 12, 13), ex1)
