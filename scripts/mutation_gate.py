@@ -121,8 +121,32 @@ MUTANTS = (
            "A symbol whose unit vector lies outside the received span is lost; "
            "without the rank test the oracle plans it from the basis anyway.",
            ("tests/test_decoder.py::TestOracle::test_too_many_erasures_reported_failed",)),
+    Mutant("outer-bound-first-block-read-as-full-span", "src/streamfec/decoder.py",
+           "delta + (blocks[0] + 1) * N", "B",
+           "A burst that erases middle symbols must pin the outer ones by the end "
+           "of the first affected sub-block's columns, not of the whole parity span.",
+           ("tests/test_decoder.py::TestStructuredMatchesOracle::"
+            "test_recovery_times_match_golden[ex2]",
+            "tests/test_decoder.py::TestStructuredMatchesOracle::"
+            "test_recovery_times_follow_the_schedule[params1]")),
+    Mutant("outer-solve-without-interference", "src/streamfec/decoder.py",
+           "received(0, hi), u_mid, ", "received(0, hi), [], ",
+           "The outer solve reads columns the erased middle symbols meet; only "
+           "nulling them out leaves the outer symbols alone in the system.",
+           ("tests/test_decoder.py::TestStructuredMatchesOracle::"
+            "test_recovery_times_match_golden[ex1]",
+            "tests/test_decoder.py::TestStructuredMatchesOracle::"
+            "test_recovery_times_match_golden[ex2]")),
+    Mutant("outer-bound-arbitrary-read-as-full-span", "src/streamfec/decoder.py",
+           'hi = (N if kind == "arbitrary"', 'hi = (B if kind == "arbitrary"',
+           "Under at most N erasures the outer symbols are pinned by the first N "
+           "parity columns, by their deadline T_eff.",
+           ("tests/test_decoder.py::TestStructuredMatchesOracle::"
+            "test_recovery_times_match_golden[ex1]",
+            "tests/test_decoder.py::TestStructuredMatchesOracle::"
+            "test_recovery_times_match_golden[ex2]")),
     Mutant("packet-plan-reads-permuted", "src/streamfec/stream.py",
-           "else worst, tuple(reads), steps)", "else worst, tuple(reversed(reads)), steps)",
+           "else None, tuple(reads), steps)", "else None, tuple(reversed(reads)), steps)",
            "A packet plan's steps index its reads by position; permuted reads feed "
            "each coefficient the wrong received symbol.",
            ("tests/test_stream.py::TestDecode::test_matches_reference_decoder[params0]",)),

@@ -18,15 +18,17 @@ Two decoders over the same generator set:
   Gabidulin rows, so outer solves are rank-metric solves once the unknown
   middle symbols are nulled out over the base field, by eliminating them
   first; each middle sub-block is peeled through its Cauchy columns.
-  Stage 1 solves the outer symbols early: through the first N parity
-  columns under arbitrary erasures, or through the first delta under a
-  burst entering [0, delta).  Stage 2 peels the affected sub-blocks in
-  ascending order, each after an outer solve up to its own parity columns
-  if outer symbols are still unknown.  Stage 3 solves what outer symbols
-  remain from the full parity span.  A solve that is not unique, or that
-  meets an unknown symbol it does not solve for, raises
-  StructuralFailureError, so every returned value is pinned by P; on an
-  admissible pattern the error is a bug.
+  Stage 1, if an outer symbol is erased, solves all of them at once, with
+  every erased middle symbol as interference, through the received parity
+  columns below a bound read from the pattern: N under arbitrary
+  erasures, delta under a burst entering [0, delta), the end of the first
+  affected sub-block's columns under a burst that erases a middle symbol,
+  and B otherwise.  Stage 2 peels each affected sub-block in ascending
+  order through its own received columns, with no interference.  A symbol
+  is recovered at k plus the last column its stage reads.  A solve that is
+  not unique, or that meets an unknown symbol it does not solve for,
+  raises StructuralFailureError, so every returned value is pinned by P;
+  on an admissible pattern the error is a bug.
 
 Both report per-symbol recovery times against the per-symbol deadline
 min(i + T_eff, n - 1).
@@ -237,34 +239,22 @@ def decode_structured(g: GeneratorSet, y) -> DecodeReport:
     times = {i: i for i in vals}
     u_outer = sorted(i for i in erased if i < delta or B <= i < k)
     u_mid = sorted(i for i in erased if delta <= i < B)
-    now = 0
-
-    def record(rec: dict, t: int) -> None:
-        nonlocal now
-        now = max(now, t)
-        vals.update(rec)
-        times.update(dict.fromkeys(rec, now))
+    blocks = sorted({_middle_block(d, i) for i in u_mid})
 
     def received(lo: int, hi: int) -> list[int]:
         return [c for c in range(lo, hi) if k + c not in erased]
 
-    def solve_outer(hi: int) -> None:
-        pending = [i for i in u_mid if i not in vals]
-        record(*_solve(g, y, vals, u_outer, received(0, hi), pending, "outer"))
-        u_outer.clear()
-
-    if kind == "arbitrary" and u_outer:
-        solve_outer(N)
-    elif any(i < delta for i in erased):
-        solve_outer(delta)
-    for block in sorted({_middle_block(d, i) for i in u_mid}):
-        if u_outer:
-            solve_outer(delta + (block + 1) * N)
-        unknowns = [i for i in u_mid if _middle_block(d, i) == block]
-        cols = received(delta + block * N, delta + (block + 1) * N)
-        record(*_solve(g, y, vals, unknowns, cols, [], "sub-block"))
+    # (unknowns, parity columns, interference, name), solved in order
+    stages = [([i for i in u_mid if _middle_block(d, i) == b],
+               received(delta + b * N, delta + (b + 1) * N), [], "sub-block") for b in blocks]
     if u_outer:
-        solve_outer(B)
+        hi = (N if kind == "arbitrary" else delta if min(erased) < delta
+              else delta + (blocks[0] + 1) * N if blocks else B)
+        stages.insert(0, (u_outer, received(0, hi), u_mid, "outer"))
+    for unknowns, cols, interference, stage in stages:
+        rec, t = _solve(g, y, vals, unknowns, cols, interference, stage)
+        vals.update(rec)
+        times.update(dict.fromkeys(rec, t))
     return _report(g, times, vals)
 
 

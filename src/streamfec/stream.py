@@ -31,8 +31,6 @@ from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
 from .construction import GeneratorSet
 from .decoder import oracle_plan
 
-_MISS = float("inf")  # the latency of a symbol not recovered by its deadline
-
 
 class StreamError(ValueError):
     pass
@@ -112,11 +110,10 @@ def _packet_plan(g: GeneratorSet, local: int) -> tuple:
     for j in range(dd.k):  # symbol j lies at position j of diagonal t - j
         diag = local >> (dd.k - 1 - j)
         hit = oracle_plan(g, frozenset(p for p in range(dd.n) if diag >> p & 1)).get(j)
-        met = hit is not None and hit[0] <= dd.deadlines[j]
-        worst = max(worst, hit[0] - j if met else _MISS)
-        if met:
+        if hit is not None and hit[0] <= dd.deadlines[j]:
+            worst = max(worst, hit[0] - j)
             steps[j] = tuple((reads.setdefault((p - j, p), len(reads)), c) for p, c in hit[1])
-    plan = (None if worst == _MISS else worst, tuple(reads), steps)
+    plan = (worst if len(steps) == dd.k else None, tuple(reads), steps)
     if len(g._plan_cache) < decoder.ORACLE_PLAN_CAP:
         g._plan_cache[local] = plan
     return plan

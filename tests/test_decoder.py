@@ -261,6 +261,21 @@ class TestStructuredMatchesOracle:
         golden = Path(__file__).parent / "golden" / f"structured_times_{fixture}.txt"
         assert "\n".join(lines) + "\n" == golden.read_text()
 
+    @pytest.mark.parametrize("params", GATE_CODES)
+    def test_recovery_times_follow_the_schedule(self, params):
+        """The outer solve comes before every peel and the sub-blocks are
+        peeled in ascending order, so no erased middle symbol is recovered
+        before an erased outer one, nor before a lower middle one."""
+        g, patterns = _gate_code(params)
+        d = g.derived
+        s = random_block(g, random.Random(18))
+        for p in patterns:
+            times = [x.recovery_time for x in decode_structured(g, received(g, s, p.erased)).symbols]
+            outer = [times[i] for i in p.erased if i < d.delta or d.B <= i < d.k]
+            middle = [times[i] for i in p.erased if d.delta <= i < d.B]
+            assert all(m >= o for m in middle for o in outer), p.erased
+            assert middle == sorted(middle), p.erased
+
     def test_small_degenerate_codes(self):
         for (W, T, B, N) in SMALL_CODES:
             g = build_code(validate_and_derive(StreamParams(W, T, B, N)))
