@@ -121,6 +121,34 @@ MUTANTS = (
            "A symbol whose unit vector lies outside the received span is lost; "
            "without the rank test the oracle plans it from the basis anyway.",
            ("tests/test_decoder.py::TestOracle::test_too_many_erasures_reported_failed",)),
+    Mutant("rref-row-update-adds", "src/streamfec/matrix.py",
+           "(slot_q - e) * prow", "e * prow",
+           "A row update subtracts e times the pivot row; slot_q - e is -e with no "
+           "slot negative, and e itself adds it instead.",
+           ("tests/test_matrix.py::test_sparse_elimination_matches_dense_reference[0.5-7-9]",
+            "tests/test_decoder.py::TestOraclePlanByRank::"
+            "test_plans_reproduce_unit_vectors_on_admissible_patterns[ex1]")),
+    Mutant("rref-pivot-row-unscaled", "src/streamfec/matrix.py",
+           "prow = rows[r] = reduce(rows[r] * inv, ncols)", "prow = rows[r]",
+           "A reduced echelon pivot is one; the updates then cancel each pivot "
+           "column exactly.",
+           ("tests/test_matrix.py::test_sparse_elimination_matches_dense_reference[0.5-7-9]",
+            "tests/test_decoder.py::TestOraclePlanByRank::"
+            "test_plans_reproduce_unit_vectors_on_admissible_patterns[ex1]")),
+    Mutant("oracle-received-sum-unnegated", "src/streamfec/decoder.py",
+           "(f._slot_q - mc) * blocks[c]", "mc * blocks[c]",
+           "A received source symbol takes -sum_c mu_c P[j, c], the coefficient "
+           "that cancels its row, not the sum itself.",
+           ("tests/test_decoder.py::TestOraclePlanMatchesReference::"
+            "test_admissible_block_patterns[ex1]",
+            "tests/test_decoder.py::TestOraclePlanByRank::"
+            "test_plans_reproduce_unit_vectors_on_admissible_patterns[ex1]")),
+    Mutant("solve-value-block-one-off", "src/streamfec/decoder.py",
+           "rows[r] >> rhs * w & low", "rows[r] >> (rhs - 1) * w & low",
+           "An unknown's value is its pivot row's last block, the right-hand side; "
+           "the block before it is a coefficient.",
+           ("tests/test_decoder.py::test_solve_matches_kernel_reference",
+            "tests/test_decoder.py::TestStructuredMatchesOracle::test_all_block_patterns[ex1]")),
     Mutant("outer-bound-first-block-read-as-full-span", "src/streamfec/decoder.py",
            "delta + (blocks[0] + 1) * N", "B",
            "A burst that erases middle symbols must pin the outer ones by the end "

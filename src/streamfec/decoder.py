@@ -4,7 +4,7 @@ Two decoders over the same generator set:
 
 * ``oracle_decode`` is the ground truth.  ``oracle_plan`` reduces the
   block of P on the erased source rows and the received parity columns,
-  in arrival order, beside an identity block with one ``Mat.rref``; the
+  in arrival order, beside an identity block with one ``rref_rows``; the
   result is, for every source symbol, the earliest time at which the
   received symbols pin it uniquely and the linear combination of received
   positions that yields it.  This recovery plan is cached per erasure
@@ -12,7 +12,7 @@ Two decoders over the same generator set:
   combination per symbol.
 
 * ``decode_structured`` mirrors the algebra the code was designed around,
-  in one pipeline for both pattern kinds.  Each stage is one Mat.rref over
+  in one pipeline for both pattern kinds.  Each stage is one rref_rows over
   received parity columns of P, with the known symbols moved to the
   right-hand side.  The outer rows of P (first delta and last k - B) are
   Gabidulin rows, so outer solves are rank-metric solves once the unknown
@@ -30,7 +30,8 @@ Two decoders over the same generator set:
   raises StructuralFailureError, so every returned value is pinned by P;
   on an admissible pattern the error is a bug.
 
-Both report per-symbol recovery times against the per-symbol deadline
+Both build their systems as packed rows straight from the entries of P,
+and both report per-symbol recovery times against the per-symbol deadline
 min(i + T_eff, n - 1).
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gf import FieldElement
-from .matrix import Mat
+from .matrix import rref_rows
 from .channel import ERASED, ErasurePattern, event_kind
 from .construction import DerivedParams, GeneratorSet
 
@@ -116,39 +117,46 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
 
     The code is systematic, so a received source symbol i is its own plan
     at time i, and a parity column adds rank exactly where it meets the
-    erased source rows E.  One reduction of [A | I], with A = P[E, C] and
+    erased source rows E.  One rref_rows of [A | I], with A = P[E, C] and
     C the received parity columns in arrival order, gives [R | M] with
     M @ A = R; the pivots of R are the earliest parity basis.  Erased
     symbol i is recoverable iff its column of M vanishes below the rank;
     the part above, mu, is then the unique combination of basis columns
     equal to i's unit vector on E, and each received source symbol j takes
-    the coefficient -sum_c mu_c P[j, c] that cancels row j.  Its time is
-    the last parity position it uses.  The plan depends only on the
-    pattern, not on the symbol values, and is cached on the generator set,
-    up to ORACLE_PLAN_CAP patterns.
+    the coefficient -sum_c mu_c P[j, c] that cancels row j: one packed sum
+    over the columns of P[received, basis], at most B <= m <= M_LIMIT
+    products a slot, and one reduction.  Its time is the last parity
+    position it uses.  The plan depends only on the pattern, not on the
+    symbol values, and is cached on the generator set, up to
+    ORACLE_PLAN_CAP patterns.
     """
     cached = g._plan_cache.get(erased)
     if cached is not None:
         return cached
 
     k, f, P = g.derived.k, g.field(), g.P.rows
+    w, low = f._width, f._low
     lost = sorted(i for i in erased if i < k)
     received = [j for j in range(k) if j not in erased]
     cols = [c for c in range(g.P.ncols) if k + c not in erased]
-    aug = g.P.select_rows(lost).select_columns(cols).hstack(Mat.identity(f, len(lost)))
-    R, pivots = aug.rref()
+    rows = [sum(P[i][c].pk << b * w for b, c in enumerate(cols)) | 1 << (len(cols) + u) * w
+            for u, i in enumerate(lost)]
+    pivots = rref_rows(f, rows, len(cols) + len(lost))
     basis = [cols[c] for c in pivots if c < len(cols)]
+    blocks = {c: sum(P[j][c].pk << b * w for b, j in enumerate(received)) for c in basis}
     plan: dict[int, tuple[int, tuple]] = {}
     for i in range(k):
         if i not in erased:
             plan[i] = (i, ((i, f.one),))
             continue
-        col = [row[len(cols) + lost.index(i)] for row in R.rows]
+        sh = (len(cols) + lost.index(i)) * w
+        col = [row >> sh & low for row in rows]
         if not any(col[len(basis):]):
-            mu = [(c, m) for c, m in zip(basis, col) if m]
-            sums = f.evaluate_plans([[(c, P[j][c]) for c, _ in mu] for j in received], dict(mu))
-            steps = (tuple((j, -v) for j, v in zip(received, sums) if v)
-                     + tuple((k + c, m) for c, m in mu))
+            mu = [(c, mc) for c, mc in zip(basis, col) if mc]
+            sums = f._reduce(sum((f._slot_q - mc) * blocks[c] for c, mc in mu), len(received))
+            steps = (tuple((j, FieldElement(f, v)) for b, j in enumerate(received)
+                           if (v := sums >> b * w & low))
+                     + tuple((k + c, FieldElement(f, mc)) for c, mc in mu))
             plan[i] = (steps[-1][0], steps)
 
     if len(g._plan_cache) < ORACLE_PLAN_CAP:
@@ -199,12 +207,13 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
 
     Every known source value moves to the right-hand side through P; any
     other symbol that meets cols must be in unknowns or interference.  One
-    Mat.rref of [P[interference + unknowns, cols]^T | rhs] solves the rest,
+    rref_rows of [P[interference + unknowns, cols]^T | rhs] solves the rest,
     eliminating the interference columns first: that is the null-out.  Their
     entries must lie in GF(q); the rows left then say x A K = rhs K, with A
     the unknowns' block and K a right kernel of the interference block over
     GF(q).  The outer rows of P are Gabidulin rows, which keep full rank
-    under K, so each unknown takes a pivot and its row holds the value.
+    under K, so each unknown takes a pivot; its row's last block holds its
+    value.
     Returns the recovered values and the last codeword position used.
     """
     k, f, steps, P = g.derived.k, g.field(), g.encoder_plan, g.P.rows
@@ -217,11 +226,14 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     if any(P[i][c] and not P[i][c].is_base() for i in interference for c in cols):
         raise StructuralFailureError("interference entry outside the base field")
     known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
-    R, pivots = Mat(f, [[P[i][c] for i in order] + [y[k + c] - v] for c, v in zip(cols, known)],
-                    len(order) + 1).rref()
-    if len(order) in pivots:
+    rhs, w, low = len(order), f._width, f._low  # the right-hand side's column
+    rows = [sum(P[i][c].pk << b * w for b, i in enumerate(order)) | (y[k + c] - v).pk << rhs * w
+            for c, v in zip(cols, known)]
+    pivots = rref_rows(f, rows, rhs + 1)
+    if rhs in pivots:
         raise StructuralFailureError(f"{stage} solve degenerate: NoSolution")
-    x = {order[c]: R.rows[r][-1] for r, c in enumerate(pivots) if c >= len(interference)}
+    x = {order[c]: FieldElement(f, rows[r] >> rhs * w & low)
+         for r, c in enumerate(pivots) if c >= len(interference)}
     if len(x) < len(unknowns):
         raise StructuralFailureError(f"{stage} solve degenerate: Underdetermined")
     return x, k + cols[-1]

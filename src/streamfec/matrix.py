@@ -1,10 +1,12 @@
 """Dense exact linear algebra over GF(q) / GF(q^m).
 
 Everything is elimination-based with first-nonzero pivoting; there is no
-tolerance anywhere.  Storage is dense, but Mat.rref's row operations run
-over the pivot row's nonzero entries only.  Kernel bases and reduced echelon
-forms are computed deterministically (free columns taken in increasing
-order) so that decoder outputs are reproducible run to run.
+tolerance anywhere.  One loop eliminates, rref_rows, on rows packed as
+Python ints in Field._reduce's block layout, so each row operation is one
+big-integer product and one reduction; Mat.rref packs, calls it and
+unpacks.  Kernel bases and reduced echelon forms are computed
+deterministically (free columns taken in increasing order) so that
+decoder outputs are reproducible run to run.
 
 Matrices may have zero rows or zero columns; the column count is tracked
 explicitly so degenerate shapes survive slicing and stacking.
@@ -83,9 +85,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
 
-    def copy_rows(self) -> list[list[FieldElement]]:
-        return [list(r) for r in self.rows]
-
     def transpose(self) -> "Mat":
         return Mat(self.field,
                    [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
@@ -114,10 +113,6 @@ class Mat:
         _check_indices(idx, self.ncols)
         return Mat(self.field, [[r[j] for j in idx] for r in self.rows], len(idx))
 
-    def select_rows(self, idx: Sequence[int]) -> "Mat":
-        _check_indices(idx, self.nrows)
-        return Mat(self.field, [list(self.rows[i]) for i in idx], self._ncols)
-
     def hstack(self, other: "Mat") -> "Mat":
         f = _same_field(self, other)
         if self.nrows != other.nrows:
@@ -127,38 +122,14 @@ class Mat:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and its pivot column list.
-
-        Row operations touch only the pivot row's nonzero columns: the pivot
-        row is scaled there, and each other row is updated there alone.
-        Every other entry would be multiplied by or reduced with a zero.
-        """
-        rows = self.copy_rows()
-        nr, nc = len(rows), self.ncols
-        pivots: list[int] = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            pr = next((i for i in range(r, nr) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
-            # rows r.. are zero left of c, so prow's support starts at c
-            support = [j for j in range(c, nc) if prow[j]]
-            inv = prow[c].inverse()
-            for j in support:
-                prow[j] = prow[j] * inv
-            for i in range(nr):
-                row = rows[i]
-                if i != r and row[c]:
-                    f = row[c]
-                    for j in support:
-                        row[j] = row[j] - f * prow[j]
-            pivots.append(c)
-            r += 1
-        return Mat(self.field, rows, nc), pivots
+        """Reduced row echelon form and its pivot column list: the rows
+        packed, reduced by rref_rows, at most m q (q - 1) + q - 1 a slot,
+        and unpacked."""
+        f, nc, w = self.field, self._ncols, self.field._width
+        rows = [sum(v.pk << j * w for j, v in enumerate(r)) for r in self.rows]
+        pivots = rref_rows(f, rows, nc)
+        return Mat(f, [[FieldElement(f, row >> j * w & f._low) for j in range(nc)]
+                       for row in rows], nc), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -241,6 +212,34 @@ class Mat:
         if (m.nrows, m.ncols) != (obj["rows"], obj["cols"]):
             raise LinalgError("JSON shape mismatch")
         return m
+
+
+def rref_rows(field: Field, rows: list[int], ncols: int) -> list[int]:
+    """Reduce packed rows to reduced row echelon form in place; returns the
+    pivot columns.  Entry j of a row is its element's pk at bit
+    j * field._width, one Field._reduce block per entry.  The pivot row is
+    scaled by the pivot's inverse; every other row with entry e != 0 in the
+    pivot column gains (slot_q - e) times it, -e with every slot in [1, q].
+    Each is one raw product and one _reduce(v, ncols), with at most
+    m q (q - 1) + q - 1 a slot, far below the DOT_TERMS sums it is sized for.
+    """
+    w, low, slot_q, reduce = field._width, field._low, field._slot_q, field._reduce
+    pivots: list[int] = []
+    for c in range(ncols):
+        r, sh = len(pivots), c * w  # rows r.. are zero left of column c
+        pr = next((i for i in range(r, len(rows)) if rows[i] >> sh & low), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = FieldElement(field, rows[r] >> sh & low).inverse().pk
+        prow = rows[r] = reduce(rows[r] * inv, ncols)
+        for i, row in enumerate(rows):
+            e = row >> sh & low
+            if e and i != r:
+                rows[i] = reduce(row + (slot_q - e) * prow, ncols)
+        pivots.append(c)
+    return pivots
+
 
 def _check_indices(idx: Sequence[int], bound: int) -> None:
     prev = -1

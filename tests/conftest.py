@@ -61,6 +61,11 @@ def zeros(field, nrows, ncols):
     return Mat(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
 
+def select_rows(a, idx):
+    """The rows idx of a, in order."""
+    return Mat(a.field, [a.rows[i] for i in idx], a.ncols)
+
+
 def mat_to_json(a):
     """The JSON text of a Mat, keys sorted."""
     return json.dumps(a.to_json_obj(), sort_keys=True)
@@ -78,7 +83,7 @@ def punctured(code, idx):
 
 def mutated(g, i, c, delta=None):
     """g with P[i, c] increased by delta, by one if delta is None."""
-    rows = g.P.copy_rows()
+    rows = [list(r) for r in g.P.rows]
     rows[i][c] = rows[i][c] + (g.field().one if delta is None else delta)
     return dataclasses.replace(g, P=Mat(g.field(), rows, g.P.ncols))
 

@@ -12,7 +12,7 @@ from streamfec.construction import (GeneratorSet, ParamError, StreamParams, buil
 from streamfec.decoder import oracle_plan
 from streamfec.stream import encode_stream
 
-from conftest import mutated, random_block
+from conftest import mutated, random_block, select_rows
 
 
 class TestValidateAndDerive:
@@ -107,7 +107,7 @@ class TestBuildCode:
         assert ex2.derived.M == 2
         # each of the M diagonal blocks of P is the embedded Cauchy parity
         for off in (0, 2):
-            blk = ex2.P.select_rows([off, off + 1]).select_columns([off, off + 1])
+            blk = select_rows(ex2.P, [off, off + 1]).select_columns([off, off + 1])
             assert blk == cauchy
 
     def test_outer_band_wiring(self, ex1):
@@ -203,7 +203,7 @@ class TestCodeIsItsParity:
         for bad, err in ((3, TypeError), (None, TypeError), (GF(5, 9).one, FieldMismatchError),
                          (GF(7).one, FieldMismatchError)):
             for i, c in ((0, 0), (0, 4), (3, 1), (6, 4)):
-                rows = ex1.P.copy_rows()
+                rows = [list(r) for r in ex1.P.rows]
                 rows[i][c] = bad
                 P = Mat(ex1.field(), rows, ex1.P.ncols)
                 with pytest.raises(err):
@@ -216,7 +216,7 @@ class TestCodeIsItsParity:
         codewords of an n = 12 code."""
         P = ex1.P
         assert GeneratorSet(ex1.derived, P) == ex1
-        for bad in (P.select_columns([0, 1, 2, 3]), P.select_rows(list(range(6))),
+        for bad in (P.select_columns([0, 1, 2, 3]), select_rows(P, list(range(6))),
                     P.hstack(P.select_columns([0]))):
             with pytest.raises(ParamError):
                 GeneratorSet(ex1.derived, bad)

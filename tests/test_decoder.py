@@ -17,7 +17,7 @@ from streamfec.gf import GF, FieldMismatchError
 from streamfec.matrix import Mat, NoSolution, Underdetermined
 from streamfec.stream import StreamEncoder
 
-from conftest import GATE_CODES, SMALL_CODES, mutated, random_block
+from conftest import GATE_CODES, SMALL_CODES, mutated, random_block, select_rows
 
 
 def received(g, s, erased):
@@ -424,9 +424,9 @@ def _solve_by_kernel(g, y, vals, unknowns, cols, interference, stage):
                     f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
     known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
     rhs = [y[k + c] - v for c, v in zip(cols, known)]
-    a = g.P.select_rows(unknowns).select_columns(cols)
+    a = select_rows(g.P, unknowns).select_columns(cols)
     if interference:
-        entries = g.P.select_rows(interference).select_columns(cols)
+        entries = select_rows(g.P, interference).select_columns(cols)
         if any(e and not e.is_base() for row in entries.rows for e in row):
             raise StructuralFailureError("interference entry outside the base field")
         kernel = entries.right_kernel_basis()
