@@ -135,6 +135,13 @@ MUTANTS = (
            ("tests/test_matrix.py::test_sparse_elimination_matches_dense_reference[0.5-7-9]",
             "tests/test_decoder.py::TestOraclePlanByRank::"
             "test_plans_reproduce_unit_vectors_on_admissible_patterns[ex1]")),
+    Mutant("rref-stops-one-row-early", "src/streamfec/matrix.py",
+           "        if r == len(rows):\n", "        if r == len(rows) - 1:\n",
+           "Elimination may stop only once every row holds a pivot; one row "
+           "sooner leaves the last row unreduced and its pivot unfound.",
+           ("tests/test_matrix.py::test_sparse_elimination_matches_dense_reference[0.5-7-9]",
+            "tests/test_decoder.py::TestOraclePlanByRank::"
+            "test_plans_reproduce_unit_vectors_on_admissible_patterns[ex1]")),
     Mutant("oracle-received-sum-unnegated", "src/streamfec/decoder.py",
            "(f._slot_q - mc) * blocks[c]", "mc * blocks[c]",
            "A received source symbol takes -sum_c mu_c P[j, c], the coefficient "
@@ -143,6 +150,13 @@ MUTANTS = (
             "test_admissible_block_patterns[ex1]",
             "tests/test_decoder.py::TestOraclePlanByRank::"
             "test_plans_reproduce_unit_vectors_on_admissible_patterns[ex1]")),
+    Mutant("oracle-received-symbol-dropped", "src/streamfec/decoder.py",
+           "list(y[:d.k])", "[None] * d.k",
+           "A received source symbol is its own value, copied from the block; "
+           "no plan is evaluated for it.",
+           ("tests/test_decoder.py::TestOracle::test_clean_block_recovers_at_own_slot",
+            "tests/test_decoder.py::TestDecodeReport::"
+            "test_lost_symbols_fail_beside_received_ones")),
     Mutant("solve-value-block-one-off", "src/streamfec/decoder.py",
            "rows[r] >> rhs * w & low", "rows[r] >> (rhs - 1) * w & low",
            "An unknown's value is its pivot row's last block, the right-hand side; "

@@ -8,8 +8,10 @@ Two decoders over the same generator set:
   result is, for every source symbol, the earliest time at which the
   received symbols pin it uniquely and the linear combination of received
   positions that yields it.  This recovery plan is cached per erasure
-  pattern, so repeated decodes of the same pattern cost one linear
-  combination per symbol.
+  pattern.  A decode copies each received source symbol from the block
+  and evaluates the plans of the erased symbols that meet their deadline
+  as one plan set, so repeated decodes of the same pattern cost one linear
+  combination per erased symbol.
 
 * ``decode_structured`` mirrors the algebra the code was designed around,
   in one pipeline for both pattern kinds.  Each stage is one rref_rows over
@@ -31,8 +33,9 @@ Two decoders over the same generator set:
   on an admissible pattern the error is a bug.
 
 Both build their systems as packed rows straight from the entries of P,
-and both report per-symbol recovery times against the per-symbol deadline
-min(i + T_eff, n - 1).
+and both return a DecodeReport that keeps each symbol's value and recovery
+time beside its deadline min(i + T_eff, n - 1); its per-symbol
+SymbolReports are built only when asked.
 """
 from __future__ import annotations
 
@@ -79,25 +82,27 @@ class SymbolReport:
 
 @dataclass(frozen=True)
 class DecodeReport:
-    symbols: tuple[SymbolReport, ...]
+    """One block decode, kept as its per-symbol data: source symbol i has
+    value vals[i], None unless it was recovered by its deadline, recovery
+    time times[i], None if the received symbols never pin it, and deadline
+    deadlines[i].  symbols builds the SymbolReports from them on demand."""
+    vals: tuple[Optional[FieldElement], ...]
+    times: tuple[Optional[int], ...]
+    deadlines: tuple[int, ...]
+
+    @property
+    def symbols(self) -> tuple[SymbolReport, ...]:
+        return tuple(SymbolReport(i, "failed" if v is None else "recovered", v, t, dl)
+                     for i, (v, t, dl) in enumerate(zip(self.vals, self.times, self.deadlines)))
 
     def ok(self) -> bool:
-        return all(s.status == "recovered" for s in self.symbols)
+        return all(v is not None for v in self.vals)
 
     def values(self) -> list:
-        return [s.value for s in self.symbols]
+        return list(self.vals)
 
     def to_json_obj(self) -> dict:
         return {"symbols": [s.to_json_obj() for s in self.symbols]}
-
-
-def _report(g: GeneratorSet, times: dict, vals: dict) -> DecodeReport:
-    """One SymbolReport per source symbol: recovered iff it has a value."""
-    d = g.derived
-    return DecodeReport(tuple(
-        SymbolReport(i, "recovered" if i in vals else "failed", vals.get(i),
-                     times.get(i), d.deadlines[i])
-        for i in range(d.k)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +172,22 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
 def oracle_decode(g: GeneratorSet, y) -> DecodeReport:
     """Earliest-time elimination decode of one received block.
 
-    Late symbols report their recovery time but no value, as failed.
+    A received source symbol is copied from y at its own time; an erased
+    one takes its plan's time, and its value only if that time meets its
+    deadline, so a late symbol reports its time with no value, as failed.
+    The plans of the erased symbols on time are evaluated as one plan set.
     """
     d = g.derived
-    plan = oracle_plan(g, _erased_positions(g, y))
-    times = {i: t for i, (t, _) in plan.items()}
-    met = {i: steps for i, (t, steps) in plan.items() if t <= d.deadlines[i]}
-    vals = dict(zip(met, g.field().evaluate_plans(met.values(), y)))
-    return _report(g, times, vals)
+    erased = _erased_positions(g, y)
+    plan = oracle_plan(g, erased)
+    vals, times = list(y[:d.k]), list(range(d.k))
+    for i in erased:
+        if i < d.k:
+            vals[i], times[i] = None, plan[i][0] if i in plan else None
+    met = [i for i in erased if i in plan and plan[i][0] <= d.deadlines[i]]
+    for i, v in zip(met, g.field().evaluate_plans([plan[i][1] for i in met], y)):
+        vals[i] = v
+    return DecodeReport(tuple(vals), tuple(times), d.deadlines)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +218,9 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
            interference: list[int], stage: str) -> tuple[dict, int]:
     """Solve for the unknown source rows over received parity columns of P.
 
-    Every known source value moves to the right-hand side through P; any
-    other symbol that meets cols must be in unknowns or interference.  One
+    Every known source value moves to the right-hand side through P, whose
+    entries y[k + c] - known are reduced together, once; any other symbol
+    that meets cols must be in unknowns or interference.  One
     rref_rows of [P[interference + unknowns, cols]^T | rhs] solves the rest,
     eliminating the interference columns first: that is the null-out.  Their
     entries must lie in GF(q); the rows left then say x A K = rhs K, with A
@@ -227,8 +241,10 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
         raise StructuralFailureError("interference entry outside the base field")
     known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
     rhs, w, low = len(order), f._width, f._low  # the right-hand side's column
-    rows = [sum(P[i][c].pk << b * w for b, i in enumerate(order)) | (y[k + c] - v).pk << rhs * w
-            for c, v in zip(cols, known)]
+    diff = f._reduce(sum((y[k + c].pk + f._slot_q - v.pk) << b * w
+                         for b, (c, v) in enumerate(zip(cols, known))), len(cols))
+    rows = [sum(P[i][c].pk << b * w for b, i in enumerate(order)) | (diff >> a * w & low) << rhs * w
+            for a, c in enumerate(cols)]
     pivots = rref_rows(f, rows, rhs + 1)
     if rhs in pivots:
         raise StructuralFailureError(f"{stage} solve degenerate: NoSolution")
@@ -267,7 +283,8 @@ def decode_structured(g: GeneratorSet, y) -> DecodeReport:
         rec, t = _solve(g, y, vals, unknowns, cols, interference, stage)
         vals.update(rec)
         times.update(dict.fromkeys(rec, t))
-    return _report(g, times, vals)
+    return DecodeReport(tuple(map(vals.get, range(k))), tuple(map(times.get, range(k))),
+                        d.deadlines)
 
 
 def deadline_table(d: DerivedParams) -> dict:

@@ -222,11 +222,14 @@ def rref_rows(field: Field, rows: list[int], ncols: int) -> list[int]:
     pivot column gains (slot_q - e) times it, -e with every slot in [1, q].
     Each is one raw product and one _reduce(v, ncols), with at most
     m q (q - 1) + q - 1 a slot, far below the DOT_TERMS sums it is sized for.
+    The scan stops once every row holds a pivot.
     """
     w, low, slot_q, reduce = field._width, field._low, field._slot_q, field._reduce
     pivots: list[int] = []
     for c in range(ncols):
         r, sh = len(pivots), c * w  # rows r.. are zero left of column c
+        if r == len(rows):
+            break  # every row holds a pivot, so no later column takes one
         pr = next((i for i in range(r, len(rows)) if rows[i] >> sh & low), None)
         if pr is None:
             continue

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import json
 import random
 from pathlib import Path
 from unittest.mock import patch
@@ -10,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from streamfec import decoder
 from streamfec.channel import ERASED, ErasurePattern, apply, enumerate_block_patterns
 from streamfec.construction import StreamParams, build_code, encode_block, validate_and_derive
-from streamfec.decoder import (DecoderError, StructuralFailureError, classify_pattern,
-                               deadline_table, decode_structured, oracle_decode,
-                               oracle_plan)
+from streamfec.decoder import (DecoderError, StructuralFailureError, SymbolReport,
+                               classify_pattern, deadline_table, decode_structured,
+                               oracle_decode, oracle_plan)
 from streamfec.gf import GF, FieldMismatchError
 from streamfec.matrix import Mat, NoSolution, Underdetermined
 from streamfec.stream import StreamEncoder
@@ -508,6 +510,89 @@ def test_report_json_shape(ex1):
     first = obj["symbols"][0]
     assert first["status"] == "recovered"
     assert set(first) == {"index", "status", "recovery_time", "deadline", "value"}
+
+
+def _eager_symbols(g, times: dict, vals: dict) -> tuple:
+    """One SymbolReport per source symbol, recovered iff it has a value, built
+    eagerly from times and values found without the report under test."""
+    d = g.derived
+    return tuple(SymbolReport(i, "recovered" if i in vals else "failed", vals.get(i),
+                              times.get(i), d.deadlines[i]) for i in range(d.k))
+
+
+def _oracle_symbols(g, s, erased) -> tuple:
+    """The eager build for oracle_decode: each plan's time, and the source
+    value of each symbol whose plan meets its deadline."""
+    times = {i: t for i, (t, _) in oracle_plan(g, frozenset(erased)).items()}
+    return _eager_symbols(g, times, {i: s[i] for i, t in times.items()
+                                     if t <= g.derived.deadlines[i]})
+
+
+class TestDecodeReport:
+    """A report keeps each decode's values and times and builds its
+    SymbolReports only when asked; every view of it must equal the eager
+    build."""
+
+    @staticmethod
+    def _check(rep, want):
+        assert rep.symbols == want
+        assert rep.values() == [x.value for x in want]
+        assert rep.ok() is all(x.status == "recovered" for x in want)
+        assert (json.dumps(rep.to_json_obj(), sort_keys=True)
+                == json.dumps({"symbols": [x.to_json_obj() for x in want]}, sort_keys=True))
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
+    def test_every_block_pattern_both_decoders(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        d = g.derived
+        s = random_block(g, random.Random(31))
+        golden = Path(__file__).parent / "golden" / f"structured_times_{fixture}.txt"
+        structured_times = {text: dict(enumerate(map(int, times.split())))
+                            for text, times in (line.split(": ")
+                                                for line in golden.read_text().splitlines())}
+        for p in enumerate_block_patterns(d.n, d.B, d.N):
+            y = received(g, s, p.erased)
+            self._check(oracle_decode(g, y), _oracle_symbols(g, s, p.erased))
+            self._check(decode_structured(g, y),
+                        _eager_symbols(g, structured_times[p.to_text()], dict(enumerate(s))))
+
+    def test_lost_symbols_fail_beside_received_ones(self, ex1):
+        s = random_block(ex1, random.Random(32))
+        y = received(ex1, s, range(6))
+        rep = oracle_decode(ex1, y)
+        self._check(rep, _oracle_symbols(ex1, s, range(6)))
+        assert [x.status for x in rep.symbols] == ["failed"] * 6 + ["recovered"]
+        assert rep.values()[6] == s[6]
+        with pytest.raises(DecoderError):
+            decode_structured(ex1, y)
+
+    def test_symbol_pinned_after_its_deadline_reports_time_without_value(self, ex1):
+        s = random_block(ex1, random.Random(33))
+        y = received(ex1, s, (0, 1, 2, 5))
+        rep = oracle_decode(ex1, y)
+        self._check(rep, _oracle_symbols(ex1, s, (0, 1, 2, 5)))
+        first = rep.symbols[0]
+        assert first.deadline == 9 < first.recovery_time
+        assert first.value is None and first.status == "failed" and not rep.ok()
+        with pytest.raises(DecoderError):
+            decode_structured(ex1, y)
+
+    def test_frozen_and_unequal_in_any_one_value_or_time(self, ex1):
+        s = random_block(ex1, random.Random(34))
+        y = received(ex1, s, (0, 1, 2, 5))
+        rep = oracle_decode(ex1, y)
+        for name in ("symbols", "vals", "times", "deadlines"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, name, None)
+        twin = oracle_decode(ex1, y)
+        assert twin == rep and hash(twin) == hash(rep)
+        one = ex1.field().one
+        vals, times = rep.values(), [x.recovery_time for x in rep.symbols]
+        for i in range(ex1.derived.k):
+            changed = vals[:i] + [one if vals[i] is None else vals[i] + one] + vals[i + 1:]
+            assert dataclasses.replace(rep, vals=tuple(changed)) != rep
+            changed = times[:i] + [(times[i] or 0) + 1] + times[i + 1:]
+            assert dataclasses.replace(rep, times=tuple(changed)) != rep
 
 
 def test_each_plan_evaluation_reduces_once(ex1, ex2, reduce_calls):

@@ -125,9 +125,10 @@ def _sparse_mat(field, r, c, density, rng):
 
 def _elimination_cases(field, density, rng):
     """Seeded matrices of many shapes: wide, tall, square, empty, with zero
-    rows and columns, rank-deficient products of thin factors, and rows of
-    top elements (every coefficient q - 1), which put the most in each slot
-    of a packed row operation."""
+    rows and columns, rank-deficient products of thin factors, columns left
+    after every row holds a pivot, and rows of top elements (every
+    coefficient q - 1), which put the most in each slot of a packed row
+    operation."""
     out = [zeros(field, 0, 4), zeros(field, 3, 0), zeros(field, 0, 0), zeros(field, 3, 5),
            zeros(field, 1, 1)]
     top, z = field((field.q - 1,) * field.m), field.zero
@@ -144,6 +145,15 @@ def _elimination_cases(field, density, rng):
     a = _sparse_mat(field, 6, 6, density, rng)
     out.append(Mat(field, [[z if j == 2 else v for j, v in enumerate(row)] if i != 3 else [z] * 6
                            for i, row in enumerate(a.rows)], 6))
+    # wide: [A | I] as oracle_plan reduces it, with A of full rank and of
+    # rank 2 < 4, so every row holds a pivot before the last column; a zero
+    # row beside rows whose pivots are the first and the last column
+    thin = _sparse_mat(field, 4, 2, density, rng) @ _sparse_mat(field, 2, 6, density, rng)
+    for a in (_sparse_mat(field, 4, 6, density, rng), thin):
+        out.append(a.hstack(Mat.identity(field, 4)))
+    out.append(Mat(field, [[top] * 3 + [z] * 5, [z] * 8,
+                           [z, top] + [field.random_element(rng) for _ in range(6)]], 8))
+    out.append(Mat(field, [[z] * 6 + [top], [top] + [z] * 5 + [top]], 7))
     return out
 
 
