@@ -51,10 +51,24 @@ MUTANTS = (
            "reads is otherwise never checked.",
            ("tests/test_decoder.py::TestOracle::test_received_symbol_no_plan_reads_checked",)),
     Mutant("stream-symbols-unchecked", "src/streamfec/stream.py",
-           "    zero.field.check(v for p in received if p is not ERASED for v in p)"
-           "  # read by a plan or not\n", "",
+           "            zero.field.check(p)  # read by a plan or not\n", "            pass\n",
            "stream_decode reads received symbols through a trusting kernel.",
            ("tests/test_stream.py::TestDecode::test_received_symbol_no_plan_reads_checked",)),
+    Mutant("push-packet-unchecked", "src/streamfec/stream.py",
+           "        f.check(symbols)\n", "",
+           "push reads its packet through a trusting kernel: an int or a foreign "
+           "element would enter the window and every later packet's parities.",
+           ("tests/test_stream.py::TestEncoderEntry::test_non_element_refused[int-push]",
+            "tests/test_stream.py::TestEncoderEntry::"
+            "test_foreign_field_element_refused[GF(5^9)-push]",
+            "tests/test_stream.py::TestEncoderEntry::test_refused_packet_leaves_the_window")),
+    Mutant("encode-block-unchecked", "src/streamfec/construction.py",
+           "    ext.check(s)\n", "",
+           "encode_block reads its block through a trusting kernel: a foreign "
+           "element's packed value would be encoded as if it were in the code's field.",
+           ("tests/test_stream.py::TestEncoderEntry::test_non_element_refused[int-encode_block]",
+            "tests/test_stream.py::TestEncoderEntry::"
+            "test_foreign_field_element_refused[GF(7)-encode_block]")),
     Mutant("matmul-entries-unchecked", "src/streamfec/matrix.py",
            "        f.check(v for r in self.rows + other.rows for v in r)\n", "",
            "Mat does not check its entries; the product's kernel trusts them.",
@@ -85,6 +99,14 @@ MUTANTS = (
            "",
            "Without it, 3 encoded packets decode as 10, all at latency 0.",
            ("tests/test_stream.py::TestDecode::test_stream_too_short",)),
+    Mutant("bare-sum-past-dot-terms", "src/streamfec/gf.py",
+           "if len(steps) <= DOT_TERMS:", "if len(steps) <= 1000:",
+           "Slots hold DOT_TERMS raw products; a longer plan summed bare carries "
+           "out of its slots.",
+           ("tests/test_gf.py::TestPackedArithmetic::"
+            "test_dot_of_top_elements_equals_sequential_sum[1000-7-9]",
+            "tests/test_construction.py::TestEvaluatePlans::"
+            "test_each_plan_equals_sum_of_products[7-9]")),
     Mutant("explicit-modulus-reducible", "src/streamfec/gf.py",
            "    if not is_irreducible(modulus, q):\n", "    if False:\n",
            "A modulus from a JSON bundle is checked only in GF; a reducible one "
@@ -161,6 +183,12 @@ MUTANTS = (
            "rows[r] >> rhs * w & low", "rows[r] >> (rhs - 1) * w & low",
            "An unknown's value is its pivot row's last block, the right-hand side; "
            "the block before it is a coefficient.",
+           ("tests/test_decoder.py::test_solve_matches_kernel_reference",
+            "tests/test_decoder.py::TestStructuredMatchesOracle::test_all_block_patterns[ex1]")),
+    Mutant("solve-known-symbol-unnegated", "src/streamfec/decoder.py",
+           "(sq - p.pk) * vals[i].pk", "p.pk * vals[i].pk",
+           "A known symbol leaves the right-hand side as y - P[i, c] x_i; slot_q - "
+           "P[i, c] is -P[i, c] with no slot negative, and P[i, c] adds it instead.",
            ("tests/test_decoder.py::test_solve_matches_kernel_reference",
             "tests/test_decoder.py::TestStructuredMatchesOracle::test_all_block_patterns[ex1]")),
     Mutant("outer-bound-first-block-read-as-full-span", "src/streamfec/decoder.py",

@@ -192,10 +192,11 @@ def build_code(d: DerivedParams) -> GeneratorSet:
 
 
 def encode_block(s, g: GeneratorSet):
-    """Encode k source symbols into the n-symbol systematic codeword."""
+    """Encode k source symbols, admitted by one Field.check, into the n-symbol
+    systematic codeword: the caller's elements, then the parities as one plan set."""
     d = g.derived
     if len(s) != d.k:
         raise ParamError(f"expected {d.k} source symbols, got {len(s)}")
     ext = g.field()
-    sv = [ext(v) for v in s]
-    return sv + ext.evaluate_plans(g.encoder_plan, sv)
+    ext.check(s)
+    return [*s, *ext.evaluate_plans(g.encoder_plan, s)]

@@ -121,19 +121,21 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     """Recovery plan for an erasure pattern: i -> (time, ((pos, coeff), ...)).
 
     The code is systematic, so a received source symbol i is its own plan
-    at time i, and a parity column adds rank exactly where it meets the
-    erased source rows E.  One rref_rows of [A | I], with A = P[E, C] and
-    C the received parity columns in arrival order, gives [R | M] with
-    M @ A = R; the pivots of R are the earliest parity basis.  Erased
-    symbol i is recoverable iff its column of M vanishes below the rank;
-    the part above, mu, is then the unique combination of basis columns
-    equal to i's unit vector on E, and each received source symbol j takes
-    the coefficient -sum_c mu_c P[j, c] that cancels row j: one packed sum
-    over the columns of P[received, basis], at most B <= m <= M_LIMIT
-    products a slot, and one reduction.  Its time is the last parity
-    position it uses.  The plan depends only on the pattern, not on the
-    symbol values, and is cached on the generator set, up to
-    ORACLE_PLAN_CAP patterns.
+    at time i.  These identity plans are part of the plan contract: a
+    source symbol has a plan iff the pattern recovers it, and acceptance
+    criterion 10 counts a symbol with no plan as missed.  A parity column
+    adds rank exactly where it meets the erased source rows E.  One
+    rref_rows of [A | I], with A = P[E, C] and C the received parity
+    columns in arrival order, gives [R | M] with M @ A = R; the pivots of
+    R are the earliest parity basis.  Erased symbol i is recoverable iff
+    its column of M vanishes below the rank; the part above, mu, is then
+    the unique combination of basis columns equal to i's unit vector on E,
+    and each received source symbol j takes the coefficient
+    -sum_c mu_c P[j, c] that cancels row j: one packed sum over the columns
+    of P[received, basis], at most B <= m <= M_LIMIT products a slot, and
+    one reduction.  Its time is the last parity position it uses.  The
+    plan depends only on the pattern, not on the symbol values, and is
+    cached on the generator set, up to ORACLE_PLAN_CAP patterns.
     """
     cached = g._plan_cache.get(erased)
     if cached is not None:
@@ -218,16 +220,17 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
            interference: list[int], stage: str) -> tuple[dict, int]:
     """Solve for the unknown source rows over received parity columns of P.
 
-    Every known source value moves to the right-hand side through P, whose
-    entries y[k + c] - known are reduced together, once; any other symbol
-    that meets cols must be in unknowns or interference.  One
-    rref_rows of [P[interference + unknowns, cols]^T | rhs] solves the rest,
-    eliminating the interference columns first: that is the null-out.  Their
-    entries must lie in GF(q); the rows left then say x A K = rhs K, with A
-    the unknowns' block and K a right kernel of the interference block over
-    GF(q).  The outer rows of P are Gabidulin rows, which keep full rank
-    under K, so each unknown takes a pivot; its row's last block holds its
-    value.
+    Every known source value x_i moves to the right-hand side through P:
+    column c's is one raw sum y[k + c] + sum (slot_q - P[i, c]) x_i of at
+    most k <= M_LIMIT products, each at most 2 m (q - 1)^2 a slot, and the
+    columns reduce together, once.  Any other symbol that meets cols must
+    be in unknowns or interference.  One rref_rows of [P[interference +
+    unknowns, cols]^T | rhs] solves the rest, eliminating the interference
+    columns first: that is the null-out.  Their entries must lie in GF(q);
+    the rows left then say x A K = rhs K, with A the unknowns' block and K
+    a right kernel of the interference block over GF(q).  The outer rows of
+    P are Gabidulin rows, which keep full rank under K, so each unknown
+    takes a pivot; its row's last block holds its value.
     Returns the recovered values and the last codeword position used.
     """
     k, f, steps, P = g.derived.k, g.field(), g.encoder_plan, g.P.rows
@@ -239,10 +242,10 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
                     f"unknown symbol {i} outside the {stage} solve meets parity column {c}")
     if any(P[i][c] and not P[i][c].is_base() for i in interference for c in cols):
         raise StructuralFailureError("interference entry outside the base field")
-    known = f.evaluate_plans([[(i, p) for i, p in steps[c] if i in vals] for c in cols], vals)
-    rhs, w, low = len(order), f._width, f._low  # the right-hand side's column
-    diff = f._reduce(sum((y[k + c].pk + f._slot_q - v.pk) << b * w
-                         for b, (c, v) in enumerate(zip(cols, known))), len(cols))
+    rhs, w, low, sq = len(order), f._width, f._low, f._slot_q  # rhs: the right-hand side's column
+    diff = f._reduce(sum((y[k + c].pk + sum((sq - p.pk) * vals[i].pk
+                                            for i, p in steps[c] if i in vals)) << b * w
+                         for b, c in enumerate(cols)), len(cols))
     rows = [sum(P[i][c].pk << b * w for b, i in enumerate(order)) | (diff >> a * w & low) << rhs * w
             for a, c in enumerate(cols)]
     pivots = rref_rows(f, rows, rhs + 1)

@@ -15,10 +15,10 @@ of degree >= m mod the modulus through one Barrett quotient and takes every
 slot mod q, many slots per multiply-shift.  A sum has no slot of degree >= m,
 so it skips the quotient; a difference first adds q to every slot, so no
 slot goes negative.  ``Field.evaluate_plans`` is the one sum of products:
-it sums raw products before that reduction (slots are wide enough for
-DOT_TERMS products, and a longer sum reduces in chunks), and the sums of a
-plan set reduce together, as blocks of one integer.  It trusts its
-operands: Field.check checks each element once, where it enters the library.
+a plan of up to DOT_TERMS steps is one bare sum of raw products before that
+reduction (slots are wide enough for them; a longer sum reduces in chunks),
+and the sums of a plan set reduce together, as blocks of one integer.  It
+trusts its operands: Field.check checks each element once, where it enters.
 Polynomial lists are long division only; every product mod the modulus is
 a packed one.  One Euclid loop, Field._euclid, serves the inverse and
 Ben-Or's test.  Inversion runs it against the modulus, not a q^m - 2 power,
@@ -389,21 +389,25 @@ class Field:
         """Per plan, the sum of coeff * x[pos] over its (pos, coeff) steps.
 
         Every linear map of the code is a plan set: the parities of a block
-        or a packet, the symbols a pattern recovers, a right-hand side, a
-        row of a matrix product.  It trusts its operands; callers check them
-        with Field.check.  Each plan sums its raw products slot by slot,
-        carry-free, reducing every DOT_TERMS products; the sums are then
-        packed as blocks and reduced together: one reduction per plan set.
+        or a packet, the symbols a pattern recovers, a row of a matrix
+        product.  It trusts its operands, which callers check with
+        Field.check.  A plan of up to DOT_TERMS steps sums raw products slot
+        by slot, carry-free, in a bare loop, a longer one reduces every
+        DOT_TERMS; the sums reduce together, once per plan set, as blocks.
         """
         w, packed, shift = self._width, 0, 0
         for steps in plans:
             acc = terms = 0
-            for pos, coeff in steps:
-                if terms == DOT_TERMS:
-                    # the reduced sum takes one product's room in each slot
-                    acc, terms = self._reduce(acc), 1
-                acc += coeff.pk * x[pos].pk
-                terms += 1
+            if len(steps) <= DOT_TERMS:
+                for pos, coeff in steps:
+                    acc += coeff.pk * x[pos].pk
+            else:
+                for pos, coeff in steps:
+                    if terms == DOT_TERMS:
+                        # the reduced sum takes one product's room in each slot
+                        acc, terms = self._reduce(acc), 1
+                    acc += coeff.pk * x[pos].pk
+                    terms += 1
             packed |= acc << shift
             shift += w
         packed = self._reduce(packed, shift // w)

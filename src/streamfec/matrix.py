@@ -230,8 +230,10 @@ def rref_rows(field: Field, rows: list[int], ncols: int) -> list[int]:
         r, sh = len(pivots), c * w  # rows r.. are zero left of column c
         if r == len(rows):
             break  # every row holds a pivot, so no later column takes one
-        pr = next((i for i in range(r, len(rows)) if rows[i] >> sh & low), None)
-        if pr is None:
+        for pr in range(r, len(rows)):
+            if rows[pr] >> sh & low:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = FieldElement(field, rows[r] >> sh & low).inverse().pk

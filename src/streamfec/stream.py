@@ -37,21 +37,23 @@ class StreamError(ValueError):
 
 
 class StreamEncoder:
-    """Convolutional encoder whose memory is a flat window of (n - 1) k symbols."""
+    """Convolutional encoder whose memory is a flat window of (n - 1) k
+    symbols; the code's k, field and window plan are read once, here."""
 
     def __init__(self, g: GeneratorSet):
-        self.g = g
+        self._k, self._field, self._plan = g.derived.k, g.field(), g.window_plan
         self.window = [g.field().zero] * ((g.derived.n - 1) * g.derived.k)
 
     def push(self, symbols: Sequence) -> list:
-        """Encode the next slot's packet; its parities are one plan set over the window."""
-        k = self.g.derived.k
+        """The next slot's packet: the caller's elements, then its parities as
+        one plan set over the window.  One Field.check admits the packet, so
+        a foreign symbol raises before the window moves."""
+        k, f = self._k, self._field
         if len(symbols) != k:
             raise StreamError(f"expected {k} source symbols, got {len(symbols)}")
-        ext = self.g.field()
-        s_now = [ext(v) for v in symbols]
-        out = s_now + ext.evaluate_plans(self.g.window_plan, self.window)
-        self.window = self.window[k:] + s_now
+        f.check(symbols)
+        out = [*symbols, *f.evaluate_plans(self._plan, self.window)]
+        self.window = self.window[k:] + out[:k]
         return out
 
 
@@ -150,13 +152,15 @@ def stream_decode(received: Sequence, g: GeneratorSet,
     is copied; an erased one is decoded by its plan_stream plan, as one plan set.
     """
     n, k = g.derived.n, g.derived.k
-    bad = next((t for t, p in enumerate(received) if p is not ERASED and len(p) != n), None)
-    if bad is not None:
-        raise StreamError(f"packet {bad} has {len(received[bad])} symbols, expected {n}")
-    zero = g.field().zero
-    zero.field.check(v for p in received if p is not ERASED for v in p)  # read by a plan or not
-    erased = tuple(t for t, p in enumerate(received) if p is ERASED)
-    plans, report = plan_stream(g, ErasurePattern(len(received), erased), num_source)
+    zero, erased = g.field().zero, []
+    for t, p in enumerate(received):
+        if p is ERASED:
+            erased.append(t)
+        elif len(p) != n:
+            raise StreamError(f"packet {t} has {len(p)} symbols, expected {n}")
+        else:
+            zero.field.check(p)  # read by a plan or not
+    plans, report = plan_stream(g, ErasurePattern(len(received), tuple(erased)), num_source)
     packets = [[None] * k if p is ERASED else list(p[:k]) for p in received[:num_source]]
     for t, (_, reads, steps) in plans.items():
         x = [zero if t + off < 0 else received[t + off][row] for off, row in reads]

@@ -118,6 +118,57 @@ class TestEncoder:
             enc.push([ex1.field().zero] * 6)
 
 
+# Both encoders, each as a function of one packet or block of k source symbols.
+ENCODERS = {"push": lambda g: StreamEncoder(g).push,
+            "encode_block": lambda g: functools.partial(encode_block, g=g)}
+
+
+class TestEncoderEntry:
+    """StreamEncoder.push and encode_block admit a packet or block with one
+    Field.check: they return the caller's elements and refuse, rather than
+    convert, anything that is not an element of the code's field."""
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    def test_systematic_positions_are_the_callers_elements(self, ex1, encoder):
+        s = random_packets(ex1, 1, 21)[0]
+        out = ENCODERS[encoder](ex1)(tuple(s))
+        assert len(out) == ex1.derived.n
+        assert all(a is b for a, b in zip(out, s))
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    @pytest.mark.parametrize("bad", [3, True, None, (1,) * 9], ids=["int", "bool", "None", "coeffs"])
+    def test_non_element_refused(self, ex1, encoder, bad):
+        """Field.__call__ would take 3 and the coefficient tuple; the
+        encoders take only elements."""
+        s = random_packets(ex1, 1, 22)[0]
+        s[3] = bad
+        with pytest.raises(TypeError):
+            ENCODERS[encoder](ex1)(s)
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    @pytest.mark.parametrize("field", [(5, 9), (7, 1)], ids=["GF(5^9)", "GF(7)"])
+    def test_foreign_field_element_refused(self, ex1, encoder, field):
+        """Neither another extension field's element nor a prime-subfield
+        one, which has the same packed value as an element of GF(7^9)."""
+        s = random_packets(ex1, 1, 23)[0]
+        s[3] = GF(*field).one
+        with pytest.raises(FieldMismatchError):
+            ENCODERS[encoder](ex1)(s)
+
+    def test_refused_packet_leaves_the_window(self, ex1):
+        """A refused packet, first or between two good ones, leaves the
+        window as it was: the good packets encode as on a fresh encoder."""
+        good = random_packets(ex1, 4, 24)
+        enc, fresh = StreamEncoder(ex1), StreamEncoder(ex1)
+        got = []
+        for p in good:
+            for bad in (3, None, GF(5, 9).one):
+                with pytest.raises((TypeError, FieldMismatchError)):
+                    enc.push([*p[:3], bad, *p[4:]])
+            got.append(enc.push(p))
+        assert got == [fresh.push(p) for p in good]
+
+
 class TestDecode:
     def test_clean_stream_round_trip_zero_latency(self, ex1):
         src = random_packets(ex1, 12, 3)
