@@ -71,10 +71,11 @@ MUTANTS = (
             "test_foreign_field_element_refused[GF(7)-encode_block]")),
     Mutant("matmul-entries-unchecked", "src/streamfec/matrix.py",
            "        f.check(v for r in self.rows + other.rows for v in r)\n", "",
-           "Mat does not check its entries; the product's kernel trusts them.",
+           "Mat does not check its entries, and a product with no rows or no "
+           "columns multiplies none of them.",
            ("tests/test_matrix.py::TestMul::test_foreign_entries_rejected",)),
     Mutant("parity-shape-unchecked", "src/streamfec/construction.py",
-           "        if (self.P.nrows, self.P.ncols) != (self.derived.k, self.derived.B):\n",
+           "        if (self.P.nrows, self.P.ncols) != (d.k, d.B):\n",
            "        if False:\n",
            "A k x 4 P for an n = 12 code encodes 11-symbol codewords, and the "
            "oracle reports every symbol recovered.",
@@ -99,21 +100,25 @@ MUTANTS = (
            "",
            "Without it, 3 encoded packets decode as 10, all at latency 0.",
            ("tests/test_stream.py::TestDecode::test_stream_too_short",)),
-    Mutant("bare-sum-past-dot-terms", "src/streamfec/gf.py",
-           "if len(steps) <= DOT_TERMS:", "if len(steps) <= 1000:",
-           "Slots hold DOT_TERMS raw products; a longer plan summed bare carries "
-           "out of its slots.",
-           ("tests/test_gf.py::TestPackedArithmetic::"
-            "test_dot_of_top_elements_equals_sequential_sum[1000-7-9]",
-            "tests/test_construction.py::TestEvaluatePlans::"
-            "test_each_plan_equals_sum_of_products[7-9]")),
+    Mutant("long-plan-accepted", "src/streamfec/gf.py",
+           "            if len(steps) > DOT_TERMS:\n", "            if False:\n",
+           "Slots hold DOT_TERMS raw products; a longer plan summed bare would "
+           "carry out of its slots, so it is refused.",
+           ("tests/test_gf.py::TestPackedArithmetic::test_plan_past_dot_terms_refused[7-9]",)),
+    Mutant("derived-params-unchecked", "src/streamfec/construction.py",
+           "        if d != validate_and_derive(StreamParams(d.W, d.T, d.B, d.N)):\n",
+           "        if False:\n",
+           "A derived T_eff of 20 for ex1 makes every deadline 11 and is exported; "
+           "derived must be what its (W, T, B, N) derive.",
+           ("tests/test_construction.py::TestCodeIsItsParity::"
+            "test_derived_params_not_from_w_t_b_n_rejected[T_eff]",)),
     Mutant("explicit-modulus-reducible", "src/streamfec/gf.py",
            "    if not is_irreducible(modulus, q):\n", "    if False:\n",
            "A modulus from a JSON bundle is checked only in GF; a reducible one "
            "makes a ring with zero divisors, not a field.",
            ("tests/test_gf.py::TestFindIrreducible::test_reducible_moduli_rejected",)),
     Mutant("parity-field-unchecked", "src/streamfec/construction.py",
-           "        if (self.P.field.q, self.P.field.m) != (self.derived.q, self.derived.m):\n",
+           "        if (self.P.field.q, self.P.field.m) != (d.q, d.m):\n",
            "        if False:\n",
            "A P over GF(5^9) for a GF(7^9) code exports q = 7 beside a G over GF(5^9).",
            ("tests/test_construction.py::TestCodeIsItsParity::"

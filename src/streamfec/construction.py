@@ -97,20 +97,23 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
 @dataclass(frozen=True)
 class GeneratorSet:
     """A code is its parity matrix P, k x B over derived's GF(q^m): G and
-    the encoder plan are views of it, and each instance (``replace`` too)
-    checks P and starts with no cached oracle plans.  The constituent codes
-    P was assembled from are not held; ``constituents`` rebuilds them."""
+    the encoder plan are views of it.  Each instance (``replace`` too) checks
+    derived against its (W, T, B, N) and P, and starts with no cached plans.
+    The constituents P was assembled from are not held; ``constituents``
+    rebuilds them."""
 
     derived: DerivedParams
     P: Mat
     _plan_cache: dict = dc_field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if (self.P.nrows, self.P.ncols) != (self.derived.k, self.derived.B):
-            raise ParamError(f"P must be {self.derived.k} x {self.derived.B}, got {self.P!r}")
-        if (self.P.field.q, self.P.field.m) != (self.derived.q, self.derived.m):
-            raise ParamError(f"P must be over GF(q^m) for q, m = {self.derived.q}, "
-                             f"{self.derived.m}, got {self.P!r}")
+        d = self.derived
+        if d != validate_and_derive(StreamParams(d.W, d.T, d.B, d.N)):
+            raise ParamError(f"derived does not follow from (W, T, B, N) = {d.W, d.T, d.B, d.N}")
+        if (self.P.nrows, self.P.ncols) != (d.k, d.B):
+            raise ParamError(f"P must be {d.k} x {d.B}, got {self.P!r}")
+        if (self.P.field.q, self.P.field.m) != (d.q, d.m):
+            raise ParamError(f"P must be over GF(q^m) for q, m = {d.q}, {d.m}, got {self.P!r}")
         self.P.field.check(v for r in self.P.rows for v in r)
 
     def field(self) -> Field:

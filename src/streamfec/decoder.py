@@ -132,8 +132,8 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     the unique combination of basis columns equal to i's unit vector on E,
     and each received source symbol j takes the coefficient
     -sum_c mu_c P[j, c] that cancels row j: one packed sum over the columns
-    of P[received, basis], at most B <= m <= M_LIMIT products a slot, and
-    one reduction.  Its time is the last parity position it uses.  The
+    of P[received, basis], within the slot capacity stated at gf.DOT_TERMS,
+    and one reduction.  Its time is the last parity position it uses.  The
     plan depends only on the pattern, not on the symbol values, and is
     cached on the generator set, up to ORACLE_PLAN_CAP patterns.
     """
@@ -221,16 +221,16 @@ def _solve(g: GeneratorSet, y, vals: dict, unknowns: list[int], cols: list[int],
     """Solve for the unknown source rows over received parity columns of P.
 
     Every known source value x_i moves to the right-hand side through P:
-    column c's is one raw sum y[k + c] + sum (slot_q - P[i, c]) x_i of at
-    most k <= M_LIMIT products, each at most 2 m (q - 1)^2 a slot, and the
-    columns reduce together, once.  Any other symbol that meets cols must
-    be in unknowns or interference.  One rref_rows of [P[interference +
-    unknowns, cols]^T | rhs] solves the rest, eliminating the interference
-    columns first: that is the null-out.  Their entries must lie in GF(q);
-    the rows left then say x A K = rhs K, with A the unknowns' block and K
-    a right kernel of the interference block over GF(q).  The outer rows of
-    P are Gabidulin rows, which keep full rank under K, so each unknown
-    takes a pivot; its row's last block holds its value.
+    column c's is one raw sum y[k + c] + sum (slot_q - P[i, c]) x_i, within
+    the slot capacity stated at gf.DOT_TERMS, and the columns reduce
+    together, once.  Any other symbol that meets cols must be in unknowns or
+    interference.  One rref_rows of [P[interference + unknowns, cols]^T |
+    rhs] solves the rest, eliminating the interference columns first: that
+    is the null-out.  Their entries must lie in GF(q); the rows left then
+    say x A K = rhs K, with A the unknowns' block and K a right kernel of
+    the interference block over GF(q).  The outer rows of P are Gabidulin
+    rows, which keep full rank under K, so each unknown takes a pivot; its
+    row's last block holds its value.
     Returns the recovered values and the last codeword position used.
     """
     k, f, steps, P = g.derived.k, g.field(), g.encoder_plan, g.P.rows

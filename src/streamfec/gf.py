@@ -15,9 +15,9 @@ of degree >= m mod the modulus through one Barrett quotient and takes every
 slot mod q, many slots per multiply-shift.  A sum has no slot of degree >= m,
 so it skips the quotient; a difference first adds q to every slot, so no
 slot goes negative.  ``Field.evaluate_plans`` is the one sum of products:
-a plan of up to DOT_TERMS steps is one bare sum of raw products before that
-reduction (slots are wide enough for them; a longer sum reduces in chunks),
-and the sums of a plan set reduce together, as blocks of one integer.  It
+each plan is one bare sum of raw products before that reduction, and the
+sums of a plan set reduce together, as blocks of one integer.  DOT_TERMS's
+comment states once why every packed sum fits its slots.  The kernel
 trusts its operands: Field.check checks each element once, where it enters.
 Polynomial lists are long division only; every product mod the modulus is
 a packed one.  One Euclid loop, Field._euclid, serves the inverse and
@@ -150,8 +150,14 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
 # Field spec and elements
 # ---------------------------------------------------------------------------
 
-# Raw products Field.evaluate_plans sums before it reduces; the slot width of
-# every field is sized so that this many never carry out of a slot.
+# Slot capacity, for every packed sum in the library: a slot holds DOT_TERMS
+# raw products of top elements (every coefficient q - 1) without carry, and a
+# factor negated as slot_q - e (slots in [1, q]) at most doubles a product.
+# A plan has at most k <= m <= M_LIMIT steps, as GeneratorSet holds k and m
+# to (W, T, B, N): a parity reads at most the k source symbols, a recovery
+# k - |lost| received ones and |lost| parities.  decoder._solve's right-hand
+# side and oracle_plan's received-symbol sums take at most 2 M_LIMIT + 1
+# products' room, a matrix.rref_rows row operation three.
 DOT_TERMS = 64
 # The most entries a field's inverse table holds: elimination inverts a few
 # dozen distinct pivots many times over, and the bound caps a large field.
@@ -273,9 +279,8 @@ class Field:
         self.q = q
         self.m = m
         self.modulus = tuple(modulus)
-        # Kronecker slot width: evaluate_plans sums DOT_TERMS raw products of
-        # at most m (q-1)^2 a slot, _reduce adds (m-1) (q-1)^2 more, and
-        # q.bit_length() spare bits keep each slot below 2^s / q for _mod_slots.
+        # Kronecker slot width: DOT_TERMS products of m (q-1)^2, (m-1) (q-1)^2
+        # more from _reduce, and q.bit_length() spare bits keep a slot below 2^s / q.
         s = ((DOT_TERMS * m + m - 1) * (q - 1) ** 2).bit_length() + q.bit_length()
         self._slot = s
         self._mask = (1 << s) - 1
@@ -386,28 +391,19 @@ class Field:
         return self._batch[count]
 
     def evaluate_plans(self, plans, x) -> list[FieldElement]:
-        """Per plan, the sum of coeff * x[pos] over its (pos, coeff) steps.
-
-        Every linear map of the code is a plan set: the parities of a block
-        or a packet, the symbols a pattern recovers, a row of a matrix
-        product.  It trusts its operands, which callers check with
-        Field.check.  A plan of up to DOT_TERMS steps sums raw products slot
-        by slot, carry-free, in a bare loop, a longer one reduces every
-        DOT_TERMS; the sums reduce together, once per plan set, as blocks.
-        """
+        """Per plan, the sum of coeff * x[pos] over its (pos, coeff) steps:
+        the parities of a block or a packet, the symbols a pattern recovers.
+        It trusts its operands, which callers check with Field.check.  Each
+        plan is one bare sum of raw products, within the slot capacity stated
+        at DOT_TERMS; one of more than DOT_TERMS steps raises FieldError.  The
+        sums reduce together, once per plan set, as blocks."""
         w, packed, shift = self._width, 0, 0
         for steps in plans:
-            acc = terms = 0
-            if len(steps) <= DOT_TERMS:
-                for pos, coeff in steps:
-                    acc += coeff.pk * x[pos].pk
-            else:
-                for pos, coeff in steps:
-                    if terms == DOT_TERMS:
-                        # the reduced sum takes one product's room in each slot
-                        acc, terms = self._reduce(acc), 1
-                    acc += coeff.pk * x[pos].pk
-                    terms += 1
+            if len(steps) > DOT_TERMS:
+                raise FieldError(f"a plan of {len(steps)} steps exceeds DOT_TERMS={DOT_TERMS}")
+            acc = 0
+            for pos, coeff in steps:
+                acc += coeff.pk * x[pos].pk
             packed |= acc << shift
             shift += w
         packed = self._reduce(packed, shift // w)

@@ -98,14 +98,15 @@ class Mat:
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """The product, its operands' entries checked first; each row is one
-        plan set, a plan per column of other, so one reduction per row."""
+        """The product, its operands' entries checked first.  Each entry is
+        a sum of FieldElement products, independent of Field.evaluate_plans."""
         f = _same_field(self, other)
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch in mul: {self.ncols} vs {other.nrows}")
         f.check(v for r in self.rows + other.rows for v in r)
-        plans = [tuple(enumerate(col)) for col in other.transpose().rows]
-        return Mat(f, [f.evaluate_plans(plans, row) for row in self.rows], other.ncols)
+        cols = other.transpose().rows
+        return Mat(f, [[sum((a * b for a, b in zip(row, col)), f.zero) for col in cols]
+                       for row in self.rows], other.ncols)
 
     # -- selection ---------------------------------------------------------
 
@@ -123,8 +124,7 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and its pivot column list: the rows
-        packed, reduced by rref_rows, at most m q (q - 1) + q - 1 a slot,
-        and unpacked."""
+        packed, reduced by rref_rows and unpacked."""
         f, nc, w = self.field, self._ncols, self.field._width
         rows = [sum(v.pk << j * w for j, v in enumerate(r)) for r in self.rows]
         pivots = rref_rows(f, rows, nc)
@@ -220,9 +220,9 @@ def rref_rows(field: Field, rows: list[int], ncols: int) -> list[int]:
     j * field._width, one Field._reduce block per entry.  The pivot row is
     scaled by the pivot's inverse; every other row with entry e != 0 in the
     pivot column gains (slot_q - e) times it, -e with every slot in [1, q].
-    Each is one raw product and one _reduce(v, ncols), with at most
-    m q (q - 1) + q - 1 a slot, far below the DOT_TERMS sums it is sized for.
-    The scan stops once every row holds a pivot.
+    Each is one raw product and one _reduce(v, ncols), within the slot
+    capacity stated at gf.DOT_TERMS.  The scan stops once every row holds a
+    pivot.
     """
     w, low, slot_q, reduce = field._width, field._low, field._slot_q, field._reduce
     pivots: list[int] = []

@@ -223,6 +223,21 @@ def test_criterion_9_field_size(capsys):
     report(capsys, 9, ok)
 
 
+def test_no_plan_is_longer_than_k():
+    """The bound behind gf's slot capacity, measured: no encoder plan of a
+    code in criterion 9's scan has more than k steps, and the longest
+    oracle plan over the block patterns of each gate code has exactly k,
+    far below the DOT_TERMS past which evaluate_plans refuses a plan."""
+    for d in scan_parameter_space() + scan_short_windows():
+        assert max(len(steps) for steps in build_code(d).encoder_plan) <= d.k
+    for params in GATE_CODES:
+        g = build_code(validate_and_derive(StreamParams(*params)))
+        d = g.derived
+        longest = max(len(steps) for p in enumerate_block_patterns(d.n, d.B, d.N)
+                      for _, steps in oracle_plan(g, frozenset(p.erased)).values())
+        assert longest == d.k
+
+
 def diagonal_misses(g) -> tuple[int, int]:
     """(admissible diagonal patterns, symbols the oracle misses on them).
 

@@ -225,6 +225,22 @@ class TestCodeIsItsParity:
         with pytest.raises(ParamError):
             GeneratorSet(ex2.derived, P)
 
+    @pytest.mark.parametrize("changes", [{"T_eff": 20}, {"N": 1}, {"delta": 0, "M": 5}],
+                             ids=["T_eff", "N", "delta-M"])
+    def test_derived_params_not_from_w_t_b_n_rejected(self, ex1, changes):
+        """derived must be what validate_and_derive gives for its (W, T, B,
+        N), directly and through dataclasses.replace: with T_eff = 20 every
+        deadline would be 11, not (9, 10, 11, ...), and the bundle would
+        export "T_eff": 20, though P has ex1's shape and field."""
+        d = dataclasses.replace(ex1.derived, **changes)
+        assert (d.k, d.B, d.q, d.m) == (7, 5, 7, 9)
+        with pytest.raises(ParamError, match="does not follow from"):
+            GeneratorSet(d, ex1.P)
+        with pytest.raises(ParamError, match="does not follow from"):
+            dataclasses.replace(ex1, derived=d)
+        same = validate_and_derive(StreamParams(10, 9, 5, 3))
+        assert dataclasses.replace(ex1, derived=same) == ex1
+
     @pytest.mark.parametrize("q, m", [(5, 9), (7, 1), (7, 10)])
     def test_parity_over_wrong_field_rejected(self, ex1, q, m):
         """A k x B P over a field other than derived's GF(7^9), all of its
@@ -283,13 +299,13 @@ def test_band_wiring_across_small_scan():
 class TestEvaluatePlans:
     @pytest.mark.parametrize("q,m", [(7, 9), (5, 9), (13, 14), (7, 1)])
     def test_each_plan_equals_sum_of_products(self, q, m):
-        """Plans past DOT_TERMS steps too, 1000 top-element products among
-        them: each sum reduces in chunks, then all the plans together."""
+        """Plans of up to DOT_TERMS steps, DOT_TERMS top-element products
+        among them: the sums reduce together, as blocks of one integer."""
         f = GF(q, m)
         rng = random.Random(q * m)
         x = [f((q - 1,) * m)] + [f.random_element(rng) for _ in range(9)]
         plans = [[(i % len(x), x[0] if i % 2 else f.random_element(rng)) for i in range(length)]
-                 for length in (DOT_TERMS + 1, 0, 1, DOT_TERMS)] + [[(0, x[0])] * 1000]
+                 for length in (DOT_TERMS - 1, 0, 1, DOT_TERMS)] + [[(0, x[0])] * DOT_TERMS]
         for count in range(len(plans) + 1):
             got = f.evaluate_plans(plans[:count], x)
             assert got == [sum((c * x[pos] for pos, c in steps), f.zero)

@@ -598,10 +598,10 @@ class TestPackedArithmetic:
 
     @pytest.mark.parametrize("q,m", [(2, 1), (7, 1), (2, 4), (5, 2), (7, 9), (5, 9),
                                      (13, 14), (11, 20)])
-    @pytest.mark.parametrize("length", [0, 1, DOT_TERMS - 1, DOT_TERMS, DOT_TERMS + 1, 1000])
+    @pytest.mark.parametrize("length", [0, 1, DOT_TERMS - 1, DOT_TERMS])
     def test_dot_of_top_elements_equals_sequential_sum(self, q, m, length):
-        # every coefficient q - 1: the largest raw product each slot can hold;
-        # a plan of more than DOT_TERMS steps reduces in chunks
+        # every coefficient q - 1: the largest raw product each slot can hold,
+        # up to the DOT_TERMS products a slot is sized for
         f = GF(q, m)
         top = f((q - 1,) * m)
         got = f.evaluate_plans([[(0, top)] * length], [top])[0]
@@ -612,11 +612,34 @@ class TestPackedArithmetic:
             acc = acc + top * top
         assert got == acc
 
+    @pytest.mark.parametrize("q,m", [(2, 1), (7, 1), (2, 4), (5, 2), (7, 9), (5, 9),
+                                     (13, 14), (11, 20)])
+    def test_plan_past_dot_terms_refused(self, q, m):
+        """A plan of more than DOT_TERMS steps would carry out of its slots:
+        it raises FieldError, wherever it sits in its plan set, and a
+        DOT_TERMS-step plan of top elements beside it still sums exactly."""
+        f = GF(q, m)
+        top = f((q - 1,) * m)
+        full, long = [(0, top)] * DOT_TERMS, [(0, top)] * (DOT_TERMS + 1)
+        for plans in ([long], [full, long], [long, full], [[(0, top)] * 1000]):
+            with pytest.raises(FieldError, match="DOT_TERMS"):
+                f.evaluate_plans(plans, [top])
+        acc = f.zero
+        for _ in range(DOT_TERMS):
+            acc = acc + top * top
+        assert f.evaluate_plans([full, full], [top]) == [acc, acc]
+
+    def test_slots_hold_every_packed_sum_of_the_library(self):
+        """The slot capacity gf states: plans of at most k <= M_LIMIT steps,
+        and _solve's and oracle_plan's sums of at most 2 M_LIMIT + 1
+        products' room, fit in the DOT_TERMS products a slot holds."""
+        assert 2 * M_LIMIT + 1 <= DOT_TERMS
+
     @pytest.mark.parametrize("q,m", [(7, 9), (13, 14)])
     def test_dot_of_random_pairs_equals_reference_sum(self, q, m):
         f = GF(q, m)
         rng = random.Random(q + m)
-        pairs = [(f.random_element(rng), f.random_element(rng)) for _ in range(3 * DOT_TERMS + 5)]
+        pairs = [(f.random_element(rng), f.random_element(rng)) for _ in range(DOT_TERMS)]
         want = f.zero.coeffs
         for a, b in pairs:
             want = _ref_add(f, want, _ref_mul(f, a.coeffs, b.coeffs))
@@ -668,7 +691,7 @@ def _field_and_elements(draw):
     m = draw(st.integers(min_value=1, max_value=6))
     f = GF(q, m)
     coeffs = st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * m)
-    elems = draw(st.lists(coeffs, min_size=2, max_size=2 * DOT_TERMS + 2))
+    elems = draw(st.lists(coeffs, min_size=2, max_size=DOT_TERMS))
     return f, [f(c) for c in elems]
 
 

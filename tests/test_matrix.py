@@ -3,7 +3,7 @@ import random
 import pytest
 
 from streamfec import gf
-from streamfec.gf import GF, M_LIMIT, FieldError, FieldMismatchError
+from streamfec.gf import DOT_TERMS, GF, M_LIMIT, FieldError, FieldMismatchError
 from streamfec.matrix import (LinalgError, Mat, NoSolution, Underdetermined,
                               cauchy_parity)
 
@@ -47,24 +47,31 @@ class TestMul:
         with pytest.raises(LinalgError):
             Mat.identity(f7, 2) @ Mat.identity(f7, 3)
 
-    def test_each_entry_reduces_once(self, reduce_calls):
-        """Each entry is reduced once, in its row's one reduction: a row is
-        one plan set."""
-        f = GF(7, 9)
+    def test_matches_evaluate_plans_on_random_matrices(self):
+        """@ sums FieldElement products, apart from the kernel: each row of
+        a @ b equals Field.evaluate_plans of one plan per column of b, the
+        row of a as its x, at inner sizes up to DOT_TERMS."""
         rng = random.Random(8)
-        a, b = rand_mat(f, 3, 6, rng), rand_mat(f, 6, 4, rng)
-        want = [[sum((a[i, l] * b[l, j] for l in range(6)), f.zero) for j in range(4)]
-                for i in range(3)]
-        reduce_calls.clear()
-        assert (a @ b).rows == want
-        assert len(reduce_calls) == 3
+        for f in (GF(2), GF(7), GF(5, 2), GF(7, 9), GF(13, 14)):
+            for rows, inner, cols in ((3, 6, 4), (1, 1, 1), (2, DOT_TERMS, 3), (4, 5, 1)):
+                a, b = rand_mat(f, rows, inner, rng), rand_mat(f, inner, cols, rng)
+                plans = [list(enumerate(col)) for col in b.transpose().rows]
+                assert (a @ b).rows == [f.evaluate_plans(plans, row) for row in a.rows]
 
     def test_foreign_entries_rejected(self):
         """Every entry of both operands is checked, zero or not, whichever
-        row or column it sits in."""
+        row or column it sits in, also where the product computes nothing
+        from it: a zero-row left operand or a zero-column right operand."""
         f, rng = GF(7, 9), random.Random(3)
         for bad, err in ((3, TypeError), (GF(5, 9).one, FieldMismatchError),
                          (GF(5, 9).zero, FieldMismatchError)):
+            for at in (0, 2):
+                rows = [[f.one] * 3 for _ in range(3)]
+                rows[at][at] = bad
+                with pytest.raises(err):
+                    Mat(f, [], 3) @ Mat(f, rows)
+                with pytest.raises(err):
+                    Mat(f, rows) @ Mat(f, [[] for _ in range(3)], 0)
             for i, j in ((0, 0), (1, 2), (2, 1)):
                 a, b = rand_mat(f, 3, 3, rng), Mat.identity(f, 3)
                 for left, right in ((a, b), (b, a)):
