@@ -328,6 +328,21 @@ MUTANTS = (
            ("tests/test_channel.py::TestSampleStreamPattern::"
             "test_draws_match_randrange_randint_sample_reference[2]",
             "tests/test_channel.py::TestSampleStreamPattern::test_long_patterns_match_golden")),
+    Mutant("moore-row-from-c", "src/streamfec/codes.py",
+           "mul, initial=field.one))", "mul, initial=c))",
+           "A Moore row holds the points' images 1, c, c^2, ...; started at c it is "
+           "c times the row, with the same row space, so only gen_moore shows it.",
+           ("tests/test_codes.py::TestBuildGabidulin::"
+            "test_moore_rows_match_frobenius_power_reference",
+            "tests/test_codes.py::TestBuildGabidulin::test_moore_rows_are_frobenius_images",
+            "tests/test_cli.py::test_golden_stdout[export_13_12_6_4-argv16]")),
+    Mutant("masks-parity-swapped", "src/streamfec/gf.py",
+           "((low & even, low & ~even), (high & even, high & ~even), quot, low)",
+           "((low & ~even, low & even), (high & ~even, high & even), quot, low)",
+           "_mod_slots reads the two slot groups alike, so only the masks' own "
+           "reference sees the even and odd groups change places.",
+           ("tests/test_gf.py::test_masks_match_slot_by_slot_reference[7-9]",
+            "tests/test_gf.py::test_masks_match_slot_by_slot_reference[8209-1]")),
 )
 
 

@@ -17,10 +17,11 @@ the remaining points independent, so a punctured Gabidulin code is one too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, islice
+from operator import mul
 
 from .channel import BudgetError
-from .gf import GF, Field, frobenius
+from .gf import GF, Field
 from .matrix import Mat, cauchy_parity
 
 
@@ -93,17 +94,18 @@ def build_gabidulin(n: int, k: int, field: Field) -> MrdCode:
     """Systematic (n, k) Gabidulin code over GF(q^m), m >= n.
 
     Row i of the Moore generator holds the q^i-th power images of the
-    evaluation points 1, alpha, ..., alpha^(n-1): the powers of alpha^(q^i).
-    The systematic form is obtained by row reduction, which preserves the
-    rank-metric optimality of every column sub-selection with more than k
-    columns.
+    evaluation points 1, alpha, ..., alpha^(n-1): the running products 1, c,
+    c^2, ... of c = alpha^(q^i), each c the q-th power of the row before's.
+    Row reduction gives the systematic form; it keeps the rank-metric
+    optimality of every column sub-selection with more than k columns.
     """
     if not (0 <= k <= n):
         raise CodeError(f"need 0 <= k <= n, got k={k}, n={n}")
     if field.m < n:
         raise CodeError(f"extension degree too small: need m >= {n}, have m = {field.m}")
-    frob = [frobenius(field.alpha, i) for i in range(k)]
-    moore = Mat(field, [[c ** j for j in range(n)] for c in frob], n)
+    frob = accumulate([field.q] * (k - 1), pow, initial=field.alpha)  # alpha^(q^i)
+    moore = Mat(field, [list(accumulate([c] * (n - 1), mul, initial=field.one))
+                        for c in islice(frob, k)], n)
     return MrdCode(n=n, k=k, gen_moore=moore, gen_sys=moore.systematize())
 
 

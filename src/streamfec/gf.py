@@ -214,6 +214,7 @@ class FieldElement:
         return FieldElement(f, f._reduce(self.pk * other.pk))
 
     def __pow__(self, e: int) -> "FieldElement":
+        """Square and multiply from the low bit: e.bit_length() - 1 squarings."""
         f = self.field
         if e < 0:
             return self.inverse() ** (-e)
@@ -222,8 +223,9 @@ class FieldElement:
         while e:
             if e & 1:
                 result = result * b
-            b = b * b
             e >>= 1
+            if e:
+                b = b * b
         return result
 
     def inverse(self) -> "FieldElement":
@@ -380,14 +382,17 @@ class Field:
         return v - self.q * ((((v & g0) * c >> s) & g0) + (((v & g1) * c >> s) & g1))
 
     def _masks(self, count: int) -> tuple:
-        """_reduce's masks for count blocks, made once."""
-        s, slots = self._slot, 2 * self.m - 1
-        groups = [[0, 0], [0, 0]]  # [low or high slot][slot index mod 2]
-        for i in range(count * slots):
-            groups[i % slots >= self.m][i % 2] |= self._mask << (i * s)
-        ones = sum(1 << (b * slots * s) for b in range(count))
+        """_reduce's masks for count blocks, made once.  Each is a geometric
+        series in closed form, (2^(nd) - 1) / (2^d - 1) for n terms d bits
+        apart, so no loop runs over the slots.  The even slots are taken over
+        twice the slots, an even number, and cut to the blocks."""
+        s, w = self._slot, self._width
+        full = (1 << count * w) - 1  # every slot of every block
+        ones = full // ((1 << w) - 1)  # bit 0 of each block
+        even = full & self._mask * (((1 << 2 * count * w) - 1) // ((1 << 2 * s) - 1))
+        low, high = ones * self._low, full ^ ones * self._low
         quot = ones * ((1 << (s * (self.m - 1))) - 1)  # slots 0 .. m-2 of each block
-        self._batch[count] = (*map(tuple, groups), quot, ones * self._low)
+        self._batch[count] = ((low & even, low & ~even), (high & even, high & ~even), quot, low)
         return self._batch[count]
 
     def evaluate_plans(self, plans, x) -> list[FieldElement]:

@@ -8,7 +8,7 @@ import pytest
 
 from streamfec.codes import MrdCode
 from streamfec.construction import ParamError, StreamParams, validate_and_derive, build_code
-from streamfec.gf import Field
+from streamfec.gf import Field, FieldElement
 from streamfec.matrix import Mat
 
 
@@ -33,6 +33,38 @@ def accepted_small_params() -> tuple:
         if d.n <= 12:
             out.append((W, T, B, N))
     return tuple(out)
+
+
+def scan_parameter_space():
+    """Criterion 9's scan at W = T + 1: every (T, B, N) with T <= 12 that
+    the regime T - N + 1 >= B admits."""
+    out = []
+    for T in range(1, 13):
+        for B in range(1, T + 1):
+            for N in range(1, B + 1):
+                if T - N + 1 < B:
+                    continue
+                out.append(validate_and_derive(StreamParams(T + 1, T, B, N)))
+    return out
+
+
+def scan_short_windows():
+    """The same range with every window W in (B, T]: the window, not the
+    delay, bounds T_eff = W - 1, so each code is the one scan_parameter_space
+    derives at delay W - 1."""
+    return [validate_and_derive(StreamParams(W, T, B, N))
+            for T in range(1, 13) for B in range(1, T + 1) for N in range(1, B + 1)
+            for W in range(B + 1, T + 1) if W - N >= B]
+
+
+def gabidulin_shapes() -> dict:
+    """The (n, k, q, m) of every distinct Gabidulin constituent in criterion
+    9's scan, as constituents(d) builds it, each to the first code d of the
+    scan that has it."""
+    shapes = {}
+    for d in scan_parameter_space() + scan_short_windows():
+        shapes.setdefault((d.k + d.delta, d.k - d.B + d.delta, d.q, d.m), d)
+    return shapes
 
 
 @pytest.fixture(scope="session")
@@ -99,4 +131,17 @@ def reduce_calls(monkeypatch):
         return reduce(self, v, count)
 
     monkeypatch.setattr(Field, "_reduce", counting)
+    return calls
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """A list that gains one entry per FieldElement.__mul__ call during the test."""
+    calls, mul = [], FieldElement.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
     return calls

@@ -22,33 +22,14 @@ from streamfec.decoder import (StructuralFailureError, classify_pattern, deadlin
 from streamfec.gf import GF, is_prime, next_prime
 from streamfec.stream import delay_check, simulate
 
-from conftest import GATE_CODES, accepted_small_params, mutated, punctured
+from conftest import (GATE_CODES, accepted_small_params, gabidulin_shapes, mutated, punctured,
+                      scan_parameter_space, scan_short_windows)
 
 
 def report(capsys, num, ok):
     with capsys.disabled():
         print(f"\nCRITERION {num}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed"
-
-
-def scan_parameter_space():
-    out = []
-    for T in range(1, 13):
-        for B in range(1, T + 1):
-            for N in range(1, B + 1):
-                if T - N + 1 < B:
-                    continue
-                out.append(validate_and_derive(StreamParams(T + 1, T, B, N)))
-    return out
-
-
-def scan_short_windows():
-    """The same range with every window W in (B, T]: the window, not the
-    delay, bounds T_eff = W - 1, so each code is the one scan_parameter_space
-    derives at delay W - 1."""
-    return [validate_and_derive(StreamParams(W, T, B, N))
-            for T in range(1, 13) for B in range(1, T + 1) for N in range(1, B + 1)
-            for W in range(B + 1, T + 1) if W - N >= B]
 
 
 def code_shape(d):
@@ -176,9 +157,7 @@ def test_criterion_7_constituent_codes(capsys, ex1, ex2):
     for N in range(1, 5):
         if not verify_mds(build_mds(N, GF(next_prime(2 * N)))):
             ok = False
-    shapes = {}
-    for d in scan_parameter_space() + scan_short_windows():
-        shapes.setdefault((d.k + d.delta, d.k - d.B + d.delta, d.q, d.m), d)
+    shapes = gabidulin_shapes()
     for d in shapes.values():
         if not certify_gabidulin(constituents(d)[1]):
             ok = False

@@ -215,6 +215,8 @@ GOLDEN = [
     # W = 22: sparse events of at most 5 erasures draw through sample's set branch
     ("simulate_wide_w22", ["simulate", "--W", "22", "--T", "21", "--B", "8", "--N", "6",
                            "--len", "200", "--trials", "2", "--seed", "3"], 0),
+    # a 5 x 11 Moore generator over GF(11^11)
+    ("export_13_12_6_4", ["export", "--W", "13", "--T", "12", "--B", "6", "--N", "4"], 0),
 ]
 
 

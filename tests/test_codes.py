@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from streamfec.gf import GF, frobenius
+from streamfec.gf import GF, FieldElement, frobenius
 from streamfec.matrix import Mat
 from streamfec.codes import (BudgetError, CodeError, MdsCode, MrdCode, build_gabidulin,
                              build_mds, certify_gabidulin, verify_mds)
 from streamfec.construction import constituents
 
-from conftest import mat, punctured, select_rows, zeros
+from conftest import gabidulin_shapes, mat, punctured, select_rows, zeros
 
 
 class TestBuildMds:
@@ -64,6 +64,10 @@ class TestVerifyMds:
         assert verify_mds(code)
 
 
+# a k = 0 and a k = n Gabidulin shape (n, k, q, m), beside the scan's
+MOORE_EDGE_SHAPES = {(5, 0, 7, 9), (9, 9, 7, 9)}
+
+
 class TestBuildGabidulin:
     def test_full_dimension_is_identity(self):
         f = GF(3, 4)
@@ -77,6 +81,34 @@ class TestBuildGabidulin:
         for i in range(4):
             for j in range(5):
                 assert code.gen_moore[i, j] == frobenius(f.alpha ** j, i)
+
+    def test_moore_rows_match_frobenius_power_reference(self):
+        """Column j of Moore row i is frobenius(alpha, i) ** j, for every
+        distinct Gabidulin shape of criterion 9's scan, a k = 0 shape and a
+        k = n shape."""
+        for n, k, q, m in sorted(gabidulin_shapes().keys() | MOORE_EDGE_SHAPES):
+            f = GF(q, m)
+            moore = build_gabidulin(n, k, f).gen_moore
+            assert (moore.nrows, moore.ncols) == (k, n), (n, k, q, m)
+            assert moore.rows == [[frobenius(f.alpha, i) ** j for j in range(n)]
+                                  for i in range(k)], (n, k, q, m)
+
+    def test_k_minus_one_powers_and_k_n_minus_one_moore_multiplies(self, monkeypatch,
+                                                                  mul_calls):
+        """Each Frobenius image is the one before to the q, k - 1 powers, and
+        each Moore row the running products of its image, n - 1 multiplies:
+        ex1's (9, 4) constituent over GF(7^9) makes 3 powers of 5 multiplies
+        each and 32 more, every shape of the scan likewise."""
+        powers, pow_ = [], FieldElement.__pow__
+        monkeypatch.setattr(FieldElement, "__pow__", lambda a, e: powers.append(e) or pow_(a, e))
+        for n, k, q, m in sorted(gabidulin_shapes().keys() | MOORE_EDGE_SHAPES):
+            f = GF(q, m)
+            powers.clear()
+            mul_calls.clear()
+            build_gabidulin(n, k, f)
+            assert powers == [q] * max(k - 1, 0), (n, k, q, m)
+            per_power = q.bit_length() - 1 + bin(q).count("1")
+            assert len(mul_calls) == len(powers) * per_power + k * (n - 1), (n, k, q, m)
 
     def test_systematic_form(self):
         f = GF(7, 9)

@@ -378,6 +378,7 @@ class TestInverse:
         # Euclid makes one reduction per step, at most m - 1 steps, and the
         # scale one more; the 25 squarings of a Fermat power alone make more
         f = _fresh_field(7, 9)
+        reduce_calls.clear()  # a cold modulus search reduces too
         a = f((3, 1, 4, 1, 5, 0, 2, 6, 5))
         inv = a.inverse()
         assert 0 < len(reduce_calls) <= f.m
@@ -411,6 +412,51 @@ class TestInverse:
             assert (b * a.inverse()) * a == b
             assert a ** -1 == a.inverse()
             assert a ** -3 * (a * a * a) == f.one
+
+
+def _power_by_products(a, e):
+    """a^e as e products: one, times a, e times over."""
+    out = a.field.one
+    for _ in range(e):
+        out = out * a
+    return out
+
+
+# fields of the power tests: a prime field and extensions of small and large q
+POWER_FIELDS = [(7, 1), (2, 5), (5, 9), (7, 9), (11, 11)]
+
+
+class TestPower:
+    @pytest.mark.parametrize("q,m", POWER_FIELDS)
+    def test_equals_repeated_multiplication(self, q, m):
+        """a^e for e in 0 .. 3q, a^(q^i) as i q-fold products in turn, and
+        a^-e as e products of a's inverse."""
+        f = GF(q, m)
+        rng = random.Random(q * m)
+        for a in (f.zero, f.one, f.alpha, f.random_element(rng), f.random_element(rng)):
+            for e in range(3 * q + 1):
+                assert a ** e == _power_by_products(a, e), (a, e)
+            frob = a
+            for i in range(1, m + 1):
+                frob = _power_by_products(frob, q)
+                assert a ** (q ** i) == frob, (a, i)
+            if a:
+                for e in range(1, 3 * q + 1):
+                    assert a ** -e == _power_by_products(a.inverse(), e), (a, e)
+                    assert a ** -e * _power_by_products(a, e) == f.one
+
+    @pytest.mark.parametrize("q,m", POWER_FIELDS)
+    def test_squarings_stop_at_the_top_bit(self, mul_calls, q, m):
+        """a^e makes e.bit_length() - 1 squarings and one multiply per set
+        bit of e, and a^0 none."""
+        f = GF(q, m)
+        a = f.random_element(random.Random(q + m))
+        for e in [*range(1, 3 * q + 1), *(q ** i for i in range(1, m + 1)), q ** m - 2]:
+            mul_calls.clear()
+            a ** e
+            assert len(mul_calls) == e.bit_length() - 1 + bin(e).count("1"), e
+        mul_calls.clear()
+        assert a ** 0 == f.one and mul_calls == []
 
 
 def _fresh_field(q, m):
@@ -765,3 +811,26 @@ def test_reduction_at_its_largest_slot_values():
             packed = sum(v << (b * w) for b, v in enumerate(sums))
             assert f._reduce(packed, len(sums)) == sum(_reduce_per_slot(f, v) << (b * w)
                                                        for b, v in enumerate(sums)), (q, m)
+
+
+def _masks_by_slot(f, count):
+    """_reduce's masks for count blocks, set one slot at a time: the low
+    and high slots of each block split by the parity of the slot's index in
+    the whole, slots 0 .. m-2 and slots 0 .. m-1 of each block."""
+    s, slots, mask = f._slot, 2 * f.m - 1, f._mask
+    groups = [[0, 0], [0, 0]]  # [low or high slot][slot index mod 2]
+    for i in range(count * slots):
+        groups[i % slots >= f.m][i % 2] |= mask << (i * s)
+    quot = sum(mask << ((b * slots + i) * s) for b in range(count) for i in range(f.m - 1))
+    low = sum(mask << ((b * slots + i) * s) for b in range(count) for i in range(f.m))
+    return (*map(tuple, groups), quot, low)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 5), (5, 9), (7, 9), (11, 11), (11, 14),
+                                 (29, 13), (2, 24), (8209, 1)])
+def test_masks_match_slot_by_slot_reference(q, m):
+    """The closed-form masks are the slot-by-slot ones, for 0 to 40 blocks
+    and 100, an odd and an even number of blocks of 2m - 1 slots alike."""
+    f = GF(q, m)
+    for count in [*range(41), 100]:
+        assert f._masks(count) == _masks_by_slot(f, count), count
