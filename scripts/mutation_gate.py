@@ -298,6 +298,18 @@ MUTANTS = (
            ("tests/test_channel.py::TestIsAdmissible::test_long_burst_violates_both_clauses",
             "tests/test_channel.py::TestIsAdmissible::"
             "test_long_sampled_streams_match_reference[6-9-3-2]")),
+    Mutant("admissible-small-window-skipped", "src/streamfec/channel.py",
+           "if j - lo >= N and", "if j - lo > N and",
+           "Only a window of at most N erasures is one event whatever its shape; "
+           "one of N + 1 must reach event_kind, or N + 1 scattered erasures pass.",
+           ("tests/test_channel.py::TestIsAdmissible::"
+            "test_window_of_n_plus_one_scattered_erasures_refused",
+            "tests/test_channel.py::TestIsAdmissible::"
+            "test_long_sampled_streams_match_reference[10-9-5-3]",
+            "tests/test_channel.py::TestIsAdmissible::"
+            "test_long_sampled_streams_match_reference[11-10-4-2]",
+            "tests/test_channel.py::TestIsAdmissible::"
+            "test_long_sampled_streams_match_reference[6-9-3-2]")),
     Mutant("plan-stream-one-packet-short", "src/streamfec/stream.py",
            "erased[:bisect_left(erased, num_source)]",
            "erased[:bisect_left(erased, num_source - 1)]",

@@ -3,7 +3,8 @@
 A pattern is admissible for (W, B, N) when every window of W consecutive
 slots sees either at most N erasures at arbitrary positions or one
 contiguous burst of at most B erasures.  Burst and sparse windows may
-coexist in one stream; is_admissible checks one window per erasure.
+coexist in one stream; is_admissible checks one window per erasure and
+calls event_kind only on a window of more than N erasures.
 """
 from __future__ import annotations
 
@@ -85,14 +86,16 @@ def is_admissible(p: ErasurePattern, W: int, B: int, N: int) -> bool:
     A window's erasures are a suffix of those in (e - W, e], e its last
     erasure; for e < W - 1 that set is a prefix of window 0's, clipped to the
     horizon.  A prefix or a suffix of one event is one event, so checking
-    (e - W, e] for each erasure e is exact, short horizons included."""
+    (e - W, e] for each erasure e is exact, short horizons included.  Only a
+    window of more than N erasures is sliced and passed to event_kind."""
     if W < 1:
         raise ChannelError("window must be >= 1")
     erased, lo = p.erased, 0
     for j, e in enumerate(erased):
         while erased[lo] <= e - W:
             lo += 1
-        if event_kind(erased[lo:j + 1], B, N) is None:
+        # event_kind accepts any window of at most N erasures
+        if j - lo >= N and event_kind(erased[lo:j + 1], B, N) is None:
             return False
     return True
 
@@ -139,17 +142,24 @@ def sample_stream_pattern(length: int, W: int, B: int, N: int, seed: int) -> Era
         return r
 
     erased: list[int] = []
+    draw, extend = rng.random, erased.extend
     t = below(W)
     while t < length:
-        if rng.random() < 0.5:
-            run = min(1 + below(B), length - t)
-            erased.extend(range(t, t + run))
-            event_end = t + run
+        if draw() < 0.5:
+            end = t + 1 + below(B)  # the burst's end, clipped to the horizon
+            if end > length:
+                end = length
+            extend(range(t, end))
         else:
-            span = min(W, length - t)
-            count = min(1 + below(N), span)
-            # sample(range(t, t + span), count): a pool when it is smaller than a set
-            if span <= 21 + (4 ** ceil(log(3 * count, 4)) if count > 5 else 0):
+            end = t + W if t + W < length else length
+            span, count = end - t, 1 + below(N)
+            if count > span:
+                count = span
+            # sample(range(t, t + span), count): a pool when it is smaller than a set;
+            # both draw a lone slot as t + below(span)
+            if count == 1:
+                picked = (t + below(span),)
+            elif span <= 21 + (4 ** ceil(log(3 * count, 4)) if count > 5 else 0):
                 pool, picked = list(range(t, t + span)), []
                 for i in range(count):
                     j = below(span - i)
@@ -160,9 +170,9 @@ def sample_stream_pattern(length: int, W: int, B: int, N: int, seed: int) -> Era
                 while len(picked) < count:
                     picked.add(t + below(span))
             slots = sorted(picked)
-            erased.extend(slots)
-            event_end = slots[-1] + 1
-        t = event_end + (W - 1) + below(W)
+            extend(slots)
+            end = slots[-1] + 1
+        t = end + W - 1 + below(W)
     p = ErasurePattern(length, tuple(erased))
     if not is_admissible(p, W, B, N):
         raise ChannelError("internal error: sampled pattern failed admissibility")

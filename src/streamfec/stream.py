@@ -130,17 +130,18 @@ def plan_stream(g: GeneratorSet, pattern: ErasurePattern,
     if num_source < 0 or num_source + n - 1 > pattern.horizon:
         raise StreamError("stream too short for the requested source packet count")
     erased, ahead = pattern.erased, 0  # erased[ahead] is the first erasure not yet in local
+    total = len(erased)
     plans, latencies, cache = {}, [0] * num_source, g._plan_cache
     local = prev = 0  # bit b of local: slot prev - k + 1 + b erased; cold-start slots are not
     for t in erased[:bisect_left(erased, num_source)]:
         local >>= t - prev
         prev = t
-        while ahead < len(erased) and erased[ahead] < t + n:
+        while ahead < total and erased[ahead] < t + n:
             local |= 1 << (erased[ahead] - t + k - 1)
             ahead += 1
         plans[t] = plan = cache.get(local) or _packet_plan(g, local)  # a plan is a 3-tuple
         latencies[t] = plan[0]
-    return plans, StreamReport(len(erased), tuple(latencies))
+    return plans, StreamReport(total, tuple(latencies))
 
 
 def stream_decode(received: Sequence, g: GeneratorSet,

@@ -140,6 +140,19 @@ class TestIsAdmissible:
                         want = every_window_reference(combo, horizon, W, B, N)
                         assert is_admissible(p, W, B, N) == want, (combo, horizon, W, B, N)
 
+    def test_window_of_n_plus_one_scattered_erasures_refused(self):
+        """N erasures two slots apart fill a window of W = 2N + 1 slots as one
+        arbitrary event; one more is neither that nor a burst for any B > N.
+        N + 1 is the fewest erasures is_admissible hands to event_kind."""
+        for N in range(1, 5):
+            W = 2 * N + 1
+            for B in (N + 1, N + 3):
+                for start in (0, 3):
+                    slots = range(start, start + 2 * N + 1, 2)
+                    horizon = start + W + 2
+                    assert is_admissible(ErasurePattern.make(horizon, slots[:-1]), W, B, N)
+                    assert not is_admissible(ErasurePattern.make(horizon, slots), W, B, N)
+
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_entry_starts_agree_with_every_window(self, data):
@@ -269,14 +282,20 @@ class TestSampleStreamPattern:
     @pytest.mark.parametrize("W", [2, 3, 10, 11, 21, 22, 30, 40])
     def test_draws_match_randrange_randint_sample_reference(self, W):
         """Equal to the randrange/randint/sample reference for every seed
-        0-19 and length 0, 1, W - 1, W, 3W + 1 and 2,000.  The (B, N) pairs
-        reach B and N up to 12, powers of two and not: windows of at most 21
-        slots draw through sample's pool, wider ones through its set for at
-        most 5 erasures and its pool (a set of 85) for 6 to 12."""
+        0-19 and length 0, 1, W - 1, W, 3W + 1 and 2,000, and for W <= 11
+        every length up to 2W + 1, so a burst cut at the horizon, a sparse
+        span shorter than W and a count cut to its span each come at every
+        offset.  The (B, N) pairs reach B and N up to 12, powers of two and
+        not: windows of at most 21 slots draw through sample's pool, wider
+        ones through its set for at most 5 erasures and its pool (a set of
+        85) for 6 to 12."""
         pairs = [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (5, 3), (5, 5), (6, 6),
                  (8, 6), (8, 8), (12, 5), (12, 7), (12, 12)]
+        lengths = {0, 1, W - 1, W, 3 * W + 1, 2000}
+        if W <= 11:
+            lengths.update(range(2 * W + 2))
         for B, N in pairs:
-            for length in sorted({0, 1, W - 1, W, 3 * W + 1, 2000}):
+            for length in sorted(lengths):
                 for seed in range(20):
                     want = reference_sample_stream_pattern(length, W, B, N, seed)
                     got = sample_stream_pattern(length, W, B, N, seed)
