@@ -355,6 +355,38 @@ MUTANTS = (
            "reference sees the even and odd groups change places.",
            ("tests/test_gf.py::test_masks_match_slot_by_slot_reference[7-9]",
             "tests/test_gf.py::test_masks_match_slot_by_slot_reference[8209-1]")),
+    Mutant("plan-cap-off-by-one", "src/streamfec/construction.py",
+           "        if len(self._plan_cache) < ORACLE_PLAN_CAP:\n",
+           "        if len(self._plan_cache) <= ORACLE_PLAN_CAP:\n",
+           "GeneratorSet._keep is the one cap rule for oracle and packet plans; "
+           "at <= the cache holds one plan more than the cap.",
+           ("tests/test_stream.py::test_oracle_plan_cache_stays_under_its_cap",)),
+    Mutant("window-index-one-packet-late", "src/streamfec/stream.py",
+           "((n - 1 - k - c + i) * k + i, coeff)", "((n - 2 - k - c + i) * k + i, coeff)",
+           "StreamEncoder indexes its own window: parity c at slot t reads symbol i "
+           "of packet t - (k + c) + i, not of the packet after it.",
+           ("tests/test_stream.py::TestEncoder::test_push_equals_per_column_reference[params0]",
+            "tests/test_stream.py::TestEncoder::test_parity_rows_match_block_code_diagonals")),
+    Mutant("stream-params-type-unchecked", "src/streamfec/construction.py",
+           "    if any(type(v) is not int for v in (p.W, p.T, p.B, p.N)):",
+           "    if False:",
+           "(10, 9.0, 5, 3) passes every range check and derives k = 7.0 and m = 9.0; "
+           "a float T in derived equals 9 and so passes GeneratorSet's own check.",
+           ("tests/test_construction.py::TestValidateAndDerive::"
+            "test_float_and_bool_parameters_refused[params0]",
+            "tests/test_construction.py::TestCodeIsItsParity::test_float_derived_params_rejected")),
+    Mutant("capacity-type-unchecked", "src/streamfec/construction.py",
+           "    if any(type(v) is not int for v in (T, B, N)):", "    if False:",
+           "capacity(9.0, 5, 3) raises a TypeError from Fraction, and capacity(True, "
+           "True, True) returns 1/2.",
+           ("tests/test_construction.py::TestCapacity::test_float_and_bool_refused[args0]",
+            "tests/test_construction.py::TestCapacity::test_float_and_bool_refused[args1]")),
+    Mutant("prime-field-modulus-unchecked", "src/streamfec/gf.py",
+           "    if m == 1 and modulus != (0, 1):", "    if False:",
+           "For m = 1 the modulus never enters the arithmetic, so GF(7, 1, (3, 1)) "
+           "would be a second GF(7) that mixes with no element of the first.",
+           ("tests/test_gf.py::TestBaseField::test_only_the_modulus_x_makes_a_prime_field",
+            "tests/test_matrix.py::TestJson::test_prime_field_modulus_other_than_x_rejected")),
 )
 
 

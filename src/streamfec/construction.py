@@ -18,6 +18,13 @@ from .matrix import Mat
 from .codes import MdsCode, MrdCode, build_mds, build_gabidulin
 
 
+# Most plans one generator set caches: oracle plans and stream packet plans
+# together.  ex1's 443 admissible diagonal patterns fit, and 200 sampled
+# 5,000-packet streams need 190 packet plans on 261 patterns (ex2: 62 on 101);
+# inadmissible loss could fill it.  Plans past the cap are computed, not kept.
+ORACLE_PLAN_CAP = 4096
+
+
 class ParamError(ValueError):
     """Invalid or unsupported channel parameters."""
 
@@ -58,6 +65,8 @@ class DerivedParams:
 
 def capacity(T: int, B: int, N: int) -> Fraction:
     """Highest achievable rate for delay T on the (B, N) sliding-window channel."""
+    if any(type(v) is not int for v in (T, B, N)):  # 9.0 and True compare as 9 and 1
+        raise ParamError(f"T, B, N must be ints, got T={T!r}, B={B!r}, N={N!r}")
     if not T >= B >= N >= 1:
         raise ParamError(f"need T >= B >= N >= 1, got T={T}, B={B}, N={N}")
     return Fraction(T - N + 1, T - N + B + 1)
@@ -69,6 +78,8 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
     The window may be shorter than the delay allows; the effective delay is
     then W - 1.  Only the rate >= 1/2 regime (k >= B) is constructible here.
     """
+    if any(type(v) is not int for v in (p.W, p.T, p.B, p.N)):  # as in capacity
+        raise ParamError(f"W, T, B, N must be ints, got {p}")
     if p.W < 2:
         raise ParamError(f"window must be >= 2, got W={p.W}")
     if not (p.B >= p.N >= 1):
@@ -98,9 +109,9 @@ def validate_and_derive(p: StreamParams) -> DerivedParams:
 class GeneratorSet:
     """A code is its parity matrix P, k x B over derived's GF(q^m): G and
     the encoder plan are views of it.  Each instance (``replace`` too) checks
-    derived against its (W, T, B, N) and P, and starts with no cached plans.
-    The constituents P was assembled from are not held; ``constituents``
-    rebuilds them."""
+    derived against its (W, T, B, N) and P, and starts with no cached plans;
+    ``_keep`` caches them under the cap.  The constituents P was assembled
+    from are not held; ``constituents`` rebuilds them."""
 
     derived: DerivedParams
     P: Mat
@@ -130,13 +141,11 @@ class GeneratorSet:
         return tuple(tuple((i, row[c]) for i, row in enumerate(self.P.rows) if row[c])
                      for c in range(self.P.ncols))
 
-    @cached_property
-    def window_plan(self) -> tuple:
-        """encoder_plan re-indexed into StreamEncoder's window of the n - 1 previous
-        packets: parity c at t reads symbol i of packet t - (k + c) + i."""
-        k, n = self.derived.k, self.derived.n
-        return tuple(tuple(((n - 1 - k - c + i) * k + i, coeff) for i, coeff in steps)
-                     for c, steps in enumerate(self.encoder_plan))
+    def _keep(self, key, plan):
+        """Store plan under key while fewer than ORACLE_PLAN_CAP are kept; return it."""
+        if len(self._plan_cache) < ORACLE_PLAN_CAP:
+            self._plan_cache[key] = plan
+        return plan
 
     def to_json_obj(self) -> dict:
         d = self.derived

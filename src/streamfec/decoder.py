@@ -48,13 +48,6 @@ from .channel import ERASED, ErasurePattern, event_kind
 from .construction import DerivedParams, GeneratorSet
 
 
-# Most plans one generator set caches: oracle plans and stream packet plans
-# together.  ex1's 443 admissible diagonal patterns fit, and 200 sampled
-# 5,000-packet streams need 190 packet plans on 261 patterns (ex2: 62 on 101);
-# inadmissible loss could fill it.  Plans past the cap are computed, not kept.
-ORACLE_PLAN_CAP = 4096
-
-
 class DecoderError(ValueError):
     pass
 
@@ -135,7 +128,7 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
     of P[received, basis], within the slot capacity stated at gf.DOT_TERMS,
     and one reduction.  Its time is the last parity position it uses.  The
     plan depends only on the pattern, not on the symbol values, and is
-    cached on the generator set, up to ORACLE_PLAN_CAP patterns.
+    cached on the generator set by g._keep, under its cap.
     """
     cached = g._plan_cache.get(erased)
     if cached is not None:
@@ -165,10 +158,7 @@ def oracle_plan(g: GeneratorSet, erased: frozenset[int]) -> dict:
                            if (v := sums >> b * w & low))
                      + tuple((k + c, FieldElement(f, mc)) for c, mc in mu))
             plan[i] = (steps[-1][0], steps)
-
-    if len(g._plan_cache) < ORACLE_PLAN_CAP:
-        g._plan_cache[erased] = plan
-    return plan
+    return g._keep(erased, plan)
 
 
 def oracle_decode(g: GeneratorSet, y) -> DecodeReport:

@@ -448,6 +448,8 @@ def GF(q: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
         raise FieldError("modulus must be monic of degree m, constant term first")
     if any(not (0 <= c < q) for c in modulus):
         raise FieldError("modulus coefficients must be residues in [0, q)")
+    if m == 1 and modulus != (0, 1):  # find_irreducible's x: one GF(q), whatever the modulus
+        raise FieldError(f"GF({q}) takes the modulus (0, 1), got {modulus}")
     if not is_irreducible(modulus, q):
         raise FieldError(f"modulus {modulus} is reducible over Z_{q}")
     return _interned_field(q, m, modulus)

@@ -26,7 +26,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import decoder
 from .channel import ERASED, ErasurePattern, apply, sample_stream_pattern
 from .construction import GeneratorSet
 from .decoder import oracle_plan
@@ -37,12 +36,14 @@ class StreamError(ValueError):
 
 
 class StreamEncoder:
-    """Convolutional encoder whose memory is a flat window of (n - 1) k
-    symbols; the code's k, field and window plan are read once, here."""
+    """Convolutional encoder over a flat window of the n - 1 previous packets' k symbols; parity c
+    at slot t reads symbol i of packet t - (k + c) + i, window entry (n - 1 - k - c + i) k + i."""
 
     def __init__(self, g: GeneratorSet):
-        self._k, self._field, self._plan = g.derived.k, g.field(), g.window_plan
-        self.window = [g.field().zero] * ((g.derived.n - 1) * g.derived.k)
+        k, n, self._field = g.derived.k, g.derived.n, g.field()
+        self._k, self.window = k, [self._field.zero] * ((n - 1) * k)
+        self._plan = tuple(tuple(((n - 1 - k - c + i) * k + i, coeff) for i, coeff in steps)
+                           for c, steps in enumerate(g.encoder_plan))
 
     def push(self, symbols: Sequence) -> list:
         """The next slot's packet: the caller's elements, then its parities as
@@ -105,8 +106,8 @@ class StreamReport:
 def _packet_plan(g: GeneratorSet, local: int) -> tuple:
     """Compile erased packet t's (latency or None, (slot offset, row) reads,
     {j: steps} per symbol j met by its deadline); bit b of local is slot
-    t - k + 1 + b erased.  plan_stream looks the plan up first; it is stored
-    under the int local, which equals no frozenset key."""
+    t - k + 1 + b erased.  plan_stream looks the plan up first; g._keep stores
+    it under the int local, which equals no frozenset key."""
     dd = g.derived
     worst, reads, steps = 0, {}, {}
     for j in range(dd.k):  # symbol j lies at position j of diagonal t - j
@@ -115,10 +116,7 @@ def _packet_plan(g: GeneratorSet, local: int) -> tuple:
         if hit is not None and hit[0] <= dd.deadlines[j]:
             worst = max(worst, hit[0] - j)
             steps[j] = tuple((reads.setdefault((p - j, p), len(reads)), c) for p, c in hit[1])
-    plan = (worst if len(steps) == dd.k else None, tuple(reads), steps)
-    if len(g._plan_cache) < decoder.ORACLE_PLAN_CAP:
-        g._plan_cache[local] = plan
-    return plan
+    return g._keep(local, (worst if len(steps) == dd.k else None, tuple(reads), steps))
 
 
 def plan_stream(g: GeneratorSet, pattern: ErasurePattern,

@@ -192,32 +192,11 @@ EX1 = ["--W", "10", "--T", "9", "--B", "5", "--N", "3"]
 EX2 = ["--W", "11", "--T", "10", "--B", "4", "--N", "2"]
 
 
-GOLDEN = [
-    ("build_ex1", ["build", *EX1], 0),
-    ("build_ex2", ["build", *EX2], 0),
-    ("export_ex1", ["export", *EX1], 0),
-    ("export_ex2", ["export", *EX2], 0),
-    ("verify_erase_ex1", ["verify", *EX1, "--erase", "0,1,2,3,4"], 0),
-    ("simulate_ex1", ["simulate", *EX1, "--len", "60", "--trials", "3", "--seed", "11"], 0),
-    ("verify_erase6_ex1", ["verify", *EX1, "--erase", "0,1,2,3,4,5"], 1),
-    ("verify_ex2", ["verify", *EX2, "--trials", "1"], 0),
-    ("verify_random_n5", ["verify", "--W", "10", "--T", "9", "--B", "5", "--N", "5",
-                          "--trials", "4"], 0),
-    ("simulate_w6", ["simulate", "--W", "6", "--T", "9", "--B", "3", "--N", "2",
-                     "--len", "300", "--trials", "5", "--seed", "4"], 0),
-    ("simulate_len0_w6", ["simulate", "--W", "6", "--T", "5", "--B", "3", "--N", "3",
-                          "--len", "0", "--trials", "1"], 0),
-    ("simulate_trials0_ex1", ["simulate", *EX1, "--trials", "0"], 0),
-    ("simulate_long_ex2", ["simulate", *EX2, "--len", "3000", "--trials", "2", "--seed", "9"], 0),
-    ("verify_ex1", ["verify", *EX1, "--trials", "1"], 0),
-    # five blocks per pattern: trials 2-5 re-read each field's inverse table
-    ("verify_ex1_default", ["verify", *EX1], 0),
-    # W = 22: sparse events of at most 5 erasures draw through sample's set branch
-    ("simulate_wide_w22", ["simulate", "--W", "22", "--T", "21", "--B", "8", "--N", "6",
-                           "--len", "200", "--trials", "2", "--seed", "3"], 0),
-    # a 5 x 11 Moore generator over GF(11^11)
-    ("export_13_12_6_4", ["export", "--W", "13", "--T", "12", "--B", "6", "--N", "4"], 0),
-]
+# (name, argv, exit code) per row of golden/commands.txt, the one table the
+# CI workflow's installed-script step reads too
+ROWS = (Path(__file__).parent / "golden" / "commands.txt").read_text().splitlines()
+GOLDEN = [(name, argv, int(code)) for name, code, *argv in
+          (row.split() for row in ROWS if row and not row.startswith("#"))]
 
 
 # ids as pytest named the cases before the exit-code column, so test names stay

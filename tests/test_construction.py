@@ -50,6 +50,14 @@ class TestValidateAndDerive:
         with pytest.raises(ParamError, match="rate below 1/2"):
             validate_and_derive(StreamParams(3, 2, 2, 2))
 
+    @pytest.mark.parametrize("params", [(10, 9.0, 5, 3), (3, True, True, True),
+                                        (10.0, 9, 5, 3), (10, 9, 5, 3.0)])
+    def test_float_and_bool_parameters_refused(self, params):
+        """9.0 and True pass every range check as 9 and 1, and (10, 9.0, 5,
+        3) would derive k = 7.0 and m = 9.0: a parameter must be an int."""
+        with pytest.raises(ParamError, match="must be ints"):
+            validate_and_derive(StreamParams(*params))
+
     def test_remainder_range(self):
         for (W, T, B, N) in [(10, 9, 5, 3), (11, 10, 6, 4), (9, 8, 4, 3)]:
             d = validate_and_derive(StreamParams(W, T, B, N))
@@ -72,6 +80,11 @@ class TestCapacity:
     def test_invalid_ordering(self):
         with pytest.raises(ParamError):
             capacity(2, 3, 1)
+
+    @pytest.mark.parametrize("args", [(9.0, 5, 3), (True, True, True), (9, 5, 3.0)])
+    def test_float_and_bool_refused(self, args):
+        with pytest.raises(ParamError, match="must be ints"):
+            capacity(*args)
 
 
 def parity_support(g):
@@ -240,6 +253,15 @@ class TestCodeIsItsParity:
             dataclasses.replace(ex1, derived=d)
         same = validate_and_derive(StreamParams(10, 9, 5, 3))
         assert dataclasses.replace(ex1, derived=same) == ex1
+
+    def test_float_derived_params_rejected(self, ex1):
+        """A T of 9.0 equals 9, so only its type tells it apart; the code
+        would fail its first decode with a TypeError from the deadlines."""
+        d = dataclasses.replace(ex1.derived, T=9.0)
+        with pytest.raises(ParamError, match="must be ints"):
+            GeneratorSet(d, ex1.P)
+        with pytest.raises(ParamError, match="must be ints"):
+            dataclasses.replace(ex1, derived=d)
 
     @pytest.mark.parametrize("q, m", [(5, 9), (7, 1), (7, 10)])
     def test_parity_over_wrong_field_rejected(self, ex1, q, m):

@@ -102,6 +102,16 @@ class TestBaseField:
         with pytest.raises(FieldError):
             GF(6)
 
+    def test_only_the_modulus_x_makes_a_prime_field(self):
+        """For m = 1 the modulus never enters the arithmetic, so another one
+        would intern a second GF(7) that prints alike and mixes with none."""
+        assert GF(7, 1, (0, 1)) is GF(7)
+        for modulus in ((3, 1), (1, 1)):
+            with pytest.raises(FieldError, match=r"modulus \(0, 1\)"):
+                GF(7, 1, modulus)
+        with pytest.raises(FieldError, match=r"modulus \(0, 1\)"):
+            GF(2, 1, (1, 1))
+
 
 class TestExtensionField:
     def test_gf4_alpha_squared(self):

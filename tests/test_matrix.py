@@ -372,6 +372,13 @@ class TestJson:
         with pytest.raises(FieldError):
             Mat.from_json_obj(obj)
 
+    def test_prime_field_modulus_other_than_x_rejected(self):
+        obj = {"rows": 1, "cols": 1, "q": 7, "m": 1, "modulus": [3, 1], "entries": [[[3]]]}
+        with pytest.raises(FieldError, match=r"modulus \(0, 1\)"):
+            Mat.from_json_obj(obj)
+        obj["modulus"] = [0, 1]
+        assert Mat.from_json_obj(obj).field is GF(7)
+
     def test_extension_degree_above_the_limit_refused_at_once(self, monkeypatch):
         obj = {"rows": 0, "cols": 0, "q": 2, "m": M_LIMIT + 1,
                "modulus": [1] + [0] * M_LIMIT + [1], "entries": []}

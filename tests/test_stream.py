@@ -12,7 +12,7 @@ from streamfec.stream import (StreamEncoder, StreamError, StreamReport, delay_ch
                               encode_stream, plan_stream, simulate, stream_decode)
 from streamfec.construction import (StreamParams, build_code, encode_block,
                                     validate_and_derive)
-from streamfec import decoder, stream
+from streamfec import construction, decoder, stream
 from streamfec.gf import GF, FieldMismatchError
 
 from conftest import GATE_CODES, accepted_small_params, mutated
@@ -472,7 +472,7 @@ def test_oracle_plan_cache_stays_under_its_cap(ex1, monkeypatch):
     want = stream_decode(received, free, num_source=len(src))
     assert want[1].failures and len(free._plan_cache) > 8
 
-    monkeypatch.setattr(decoder, "ORACLE_PLAN_CAP", 8)
+    monkeypatch.setattr(construction, "ORACLE_PLAN_CAP", 8)
     capped = dataclasses.replace(ex1)
     assert stream_decode(received, capped, num_source=len(src)) == want
     assert len(capped._plan_cache) == 8
