@@ -255,7 +255,7 @@ MUTANTS = (
            "value near 2^s, and _mod_slots drives that slot negative.",
            ("tests/test_gf.py::test_reduction_at_its_largest_slot_values",)),
     Mutant("barrett-mu-one-degree-low", "src/streamfec/gf.py",
-           "[0] * (2 * m - 2) + [1]", "[0] * (2 * m - 3) + [1]",
+           "1 << (2 * m - 2) * s", "1 << (2 * m - 3) * s",
            "The Barrett quotient is exact only with mu = floor(x^(2m-2) / f).",
            ("tests/test_gf.py::TestPackedArithmetic::test_every_pair_matches_reference",)),
     Mutant("barrett-remainder-unmasked", "src/streamfec/gf.py",
@@ -276,9 +276,22 @@ MUTANTS = (
            "must be tested too.",
            ("tests/test_gf.py::TestFindIrreducible::test_is_irreducible_matches_brute_force",)),
     Mutant("euclid-bezout-sign", "src/streamfec/gf.py",
-           "self._pack([-c % self.q for c in quot])", "self._pack([c for c in quot])",
+           "(f._slot_q - quot) * s1", "quot * s1",
            "The Bezout coefficient keeps s a == r only as s0 - quot s1.",
            ("tests/test_gf.py::TestInverse::test_equals_fermat_reference",)),
+    Mutant("divmod-step-adds", "src/streamfec/gf.py",
+           "(q - c) * (b << ", "c * (b << ",
+           "A division step must subtract c b x^shift to cancel the top slot; adding "
+           "it leaves 2 lead(a) there, so for q > 2 the division never ends.",
+           ("tests/test_gf.py::TestFindIrreducible::test_is_irreducible_matches_brute_force",
+            "tests/test_gf.py::test_divmod_matches_list_long_division")),
+    Mutant("irreducible-residues-unchecked", "src/streamfec/gf.py",
+           "    if any(type(c) is not int or not 0 <= c < q for c in coeffs):\n",
+           "    if False:\n",
+           "is_irreducible packs its coefficients as slots: a float raises TypeError "
+           "and True passes as 1, so (True, 0, 1) over Z_3 reads as irreducible.",
+           ("tests/test_gf.py::TestFindIrreducible::test_non_residue_coefficient_refused[float]",
+            "tests/test_gf.py::TestFindIrreducible::test_non_residue_coefficient_refused[bool]")),
     Mutant("ben-or-gcd-without-x", "src/streamfec/gf.py",
            "f._euclid(h - f.alpha)", "f._euclid(h)",
            "Ben-Or's gcd is with x^(q^i) - x; x^(q^i) alone is a unit whenever x "

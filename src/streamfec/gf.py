@@ -19,10 +19,12 @@ each plan is one bare sum of raw products before that reduction, and the
 sums of a plan set reduce together, as blocks of one integer.  DOT_TERMS's
 comment states once why every packed sum fits its slots.  The kernel
 trusts its operands: Field.check checks each element once, where it enters.
-Polynomial lists are long division only; every product mod the modulus is
-a packed one.  One Euclid loop, Field._euclid, serves the inverse and
-Ben-Or's test.  Inversion runs it against the modulus, not a q^m - 2 power,
-once per distinct element: each field keeps a table of the inverses it has
+Every polynomial is packed, the divisions included: Field._divmod is long
+division over Z_q, one slot per step.  One Euclid loop, Field._euclid, serves
+the inverse and Ben-Or's test; it returns the last remainder and the
+quotients, and only the inverse folds them into a Bezout coefficient.
+Inversion runs it against the modulus, not a q^m - 2 power, once per
+distinct element: each field keeps a table of the inverses it has
 computed, both ways, up to INVERSE_CAP entries.  The modulus check is
 Ben-Or's test on the packed ring of the candidate, m/2 rounds of one power
 by q and one Euclid, so no step of the modulus search or check grows with q
@@ -71,37 +73,6 @@ def next_prime(n: int) -> int:
     return p
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over Z_q, as coefficient lists, constant term first: long
-# division only, for Field._euclid's remainders and _reduce's Barrett
-# constant.  Every product mod the modulus is a packed Field operation.
-# ---------------------------------------------------------------------------
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: Sequence[int], f: Sequence[int], q: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by f; f is trimmed and nonzero, not
-    necessarily monic: each step cancels the leading term through the
-    inverse of f's leading coefficient."""
-    r = list(a)
-    df = len(f) - 1
-    lead_inv = pow(f[-1], q - 2, q)
-    quot = [0] * max(len(r) - df, 0)
-    while len(r) - 1 >= df and r:
-        c = r[-1] * lead_inv % q
-        if c:
-            shift = len(r) - 1 - df
-            quot[shift] = c
-            for i in range(df + 1):
-                r[shift + i] = (r[shift + i] - c * f[i]) % q
-        r.pop()
-    return _poly_trim(quot), _poly_trim(r)
-
-
 def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     """Ben-Or's test for a monic f of degree m over Z_q (constant term first).
 
@@ -109,8 +80,12 @@ def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     i, and a reducible f has a factor of degree <= m/2, so f is irreducible
     iff gcd(x^(q^i) - x, f) = 1 for every i <= m/2.  Round 1 is a root test.
     Each round powers by q on the packed ring and reads the gcd off
-    Field._euclid, which reaches a nonzero constant iff it is 1.
+    Field._euclid's last remainder, a nonzero constant iff it is 1; no
+    Bezout coefficient is formed.  A coefficient that is not an int residue
+    in [0, q), bool excluded, raises FieldError.
     """
+    if any(type(c) is not int or not 0 <= c < q for c in coeffs):
+        raise FieldError(f"coefficients must be int residues in [0, {q}), got {tuple(coeffs)}")
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
@@ -157,7 +132,8 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
 # to (W, T, B, N): a parity reads at most the k source symbols, a recovery
 # k - |lost| received ones and |lost| parities.  decoder._solve's right-hand
 # side and oracle_plan's received-symbol sums take at most 2 M_LIMIT + 1
-# products' room, a matrix.rref_rows row operation three.
+# products' room, a matrix.rref_rows row operation three.  A Field._divmod
+# step leaves at most (q - 1) + (q - 1)^2 <= q^2 - 1 in a slot, below 2^s / q.
 DOT_TERMS = 64
 # The most entries a field's inverse table holds: elimination inverts a few
 # dozen distinct pivots many times over, and the bound caps a large field.
@@ -229,10 +205,13 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """Field._euclid against the modulus, then one scale by the inverse
-        of its final constant c, c^(q-2) by Fermat.  The field's table
-        answers a repeat and stores each new inverse both ways while it has
-        room; zero raises and is never stored."""
+        """Field._euclid against the modulus, then its quotients folded into
+        the Bezout coefficient s, s a == c mod the modulus, and one scale by
+        c^(q-2), the inverse of the final constant c by Fermat.  Every
+        quotient has degree < m, so s stays packed: s0 - quot s1 is one raw
+        sum, s0 + (slot_q - quot) s1, and one reduction per quotient.  The
+        field's table answers a repeat and stores each new inverse both ways
+        while it has room; zero raises and is never stored."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
@@ -240,8 +219,11 @@ class FieldElement:
         if inv is not None:
             return FieldElement(f, inv)
         # the modulus is irreducible, so the remainders reach s * self == c != 0
-        (c,), s = f._euclid(self)
-        inv = f._reduce(s.pk * pow(c, f.q - 2, f.q))
+        c, quotients = f._euclid(self)
+        s0, s1 = 0, 1
+        for quot in quotients:
+            s0, s1 = s1, f._reduce(s0 + (f._slot_q - quot) * s1)
+        inv = f._reduce(s1 * pow(c, f.q - 2, f.q))
         if len(f._inv) < INVERSE_CAP - 1:  # room for both entries
             f._inv[self.pk] = inv
             f._inv[inv] = self.pk
@@ -290,11 +272,12 @@ class Field:
         self._width = (2 * m - 1) * s  # _reduce's block: the slots of a raw product
         # q in every slot: subtracting from it keeps each slot non-negative
         self._slot_q = self._pack([q] * m)
-        # _reduce's Barrett constants: floor(x^(2m-2) / modulus) and x^m mod it
-        self._mu = self._pack(_poly_divmod([0] * (2 * m - 2) + [1], modulus, q)[0])
-        self._nf = self._pack([-c % q for c in modulus[:m]])
         self._div = -(-(1 << s) // q)  # _mod_slots: x // q = x c >> s for x < 2^s / q
         self._batch: dict[int, tuple] = {}  # _reduce's masks per block count, lazily
+        self._f = self._pack(modulus)  # m + 1 slots
+        # _reduce's Barrett constants: floor(x^(2m-2) / modulus) and x^m mod it
+        self._mu = self._divmod(1 << (2 * m - 2) * s, self._f)[0]
+        self._nf = self._pack([-c % q for c in modulus[:m]])
         self._inv: dict[int, int] = {}  # FieldElement.inverse's table, pk to pk
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -318,19 +301,17 @@ class Field:
             raise FieldError(f"coefficients must be int residues in [0, {self.q}), got {coeffs}")
         return FieldElement(self, self._pack(coeffs))
 
-    def _euclid(self, a: FieldElement) -> tuple[list[int], FieldElement]:
+    def _euclid(self, a: FieldElement) -> tuple[int, list[int]]:
         """Euclid on the modulus and a, to the first remainder r of degree
-        < 1, with s a == r mod the modulus.  r == [c], c != 0, iff a is a
-        unit; r == [] otherwise.  Every quotient has degree < m, so the
-        Bezout coefficient s stays packed: s0 - quot s1 is one raw sum,
-        s0 + (-quot) s1, and one reduction."""
-        r0, r1 = list(self.modulus), _poly_trim(list(a.coeffs))
-        s0, s1 = 0, 1
-        while len(r1) > 1:
-            quot, rem = _poly_divmod(r0, r1, self.q)
+        < 1: (r, the quotients in order), all packed.  r is a nonzero
+        constant iff a is a unit, and 0 otherwise.  No step reduces: the
+        Bezout coefficient is FieldElement.inverse's to fold."""
+        r0, r1, quotients = self._f, a.pk, []
+        while r1 >> self._slot:
+            quot, rem = self._divmod(r0, r1)
+            quotients.append(quot)
             r0, r1 = r1, rem
-            s0, s1 = s1, self._reduce(s0 + self._pack([-c % self.q for c in quot]) * s1)
-        return r1, FieldElement(self, s1)
+        return r1, quotients
 
     def check(self, values: Iterable) -> None:
         """Raise TypeError or FieldMismatchError for the first value not in this field."""
@@ -381,6 +362,23 @@ class Field:
         g0, g1 = groups
         return v - self.q * ((((v & g0) * c >> s) & g0) + (((v & g1) * c >> s) & g1))
 
+    def _divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of a by b != 0, packed polynomials over Z_q
+        of at most 2m - 1 slots, each in [0, q); b need not be monic.  Each
+        step cancels a's top slot, a += (q - c) b x^shift with c = lead(a)
+        lead(b)^(q-2), then takes every slot of the block mod q."""
+        s, q = self._slot, self.q
+        (l0, l1), (h0, h1) = (self._batch.get(1) or self._masks(1))[:2]
+        groups = (l0 | h0, l1 | h1)  # the even and the odd slots of one block
+        db = (b.bit_length() - 1) // s
+        lead_inv = pow(b >> db * s, q - 2, q)
+        quot = 0
+        while (da := (a.bit_length() - 1) // s) >= db:  # a == 0 gives -1
+            c = (a >> da * s) * lead_inv % q
+            quot |= c << (da - db) * s
+            a = self._mod_slots(a + (q - c) * (b << (da - db) * s), groups)
+        return quot, a
+
     def _masks(self, count: int) -> tuple:
         """_reduce's masks for count blocks, made once.  Each is a geometric
         series in closed form, (2^(nd) - 1) / (2^d - 1) for n terms d bits
@@ -429,7 +427,8 @@ def _interned_field(q: int, m: int, modulus: tuple[int, ...]) -> Field:
 def GF(q: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
     """Interned field constructor, the one place a field spec is checked.
     The default modulus is find_irreducible's, already tested; an explicit
-    one is checked on every call: q prime, monic of degree m, irreducible."""
+    one is checked on every call: q prime, monic of degree m, then
+    is_irreducible, which also refuses a coefficient that is no int residue."""
     # int only, bool excluded, checked first: the caches key 11.0 and True as 11 and 1
     if type(q) is not int or type(m) is not int:
         raise FieldError(f"q and m must be ints, got q={q!r}, m={m!r}")
@@ -438,16 +437,12 @@ def GF(q: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:
     if modulus is None:
         return _interned_field(q, m, find_irreducible(q, m))
     modulus = tuple(modulus)
-    if any(type(c) is not int for c in modulus):
-        raise FieldError(f"modulus coefficients must be ints, got {modulus}")
     if not is_prime(q):
         raise FieldError(f"q={q} is not prime")
     if m < 1:
         raise FieldError(f"extension degree must be >= 1, got {m}")
     if len(modulus) != m + 1 or modulus[-1] != 1:
         raise FieldError("modulus must be monic of degree m, constant term first")
-    if any(not (0 <= c < q) for c in modulus):
-        raise FieldError("modulus coefficients must be residues in [0, q)")
     if m == 1 and modulus != (0, 1):  # find_irreducible's x: one GF(q), whatever the modulus
         raise FieldError(f"GF({q}) takes the modulus (0, 1), got {modulus}")
     if not is_irreducible(modulus, q):

@@ -28,6 +28,29 @@ def _product(a, b, q):
     return tuple(out)
 
 
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _list_divmod(a, f, q):
+    """Quotient and remainder of a by a nonzero f, coefficient lists over
+    Z_q, constant term first, both trimmed: schoolbook long division that
+    cancels the leading term through the inverse of f's leading coefficient."""
+    r, df = list(a), len(f) - 1
+    lead_inv = pow(f[-1], q - 2, q)
+    quot = [0] * max(len(r) - df, 0)
+    while len(r) - 1 >= df and r:
+        c = r[-1] * lead_inv % q
+        shift = len(r) - 1 - df
+        quot[shift] = c
+        for i in range(df + 1):
+            r[shift + i] = (r[shift + i] - c * f[i]) % q
+        r.pop()
+    return _trim(quot), _trim(r)
+
+
 def _brute_irreducibles(q, m):
     """Monic degree-m irreducibles over Z_q: those that are no product of two
     monic polynomials of positive degree, found by multiplying all pairs."""
@@ -227,9 +250,10 @@ class TestFindIrreducible:
         assert GF(3, 5, (2, 0, 0, 2, 2, 1)).modulus == (2, 0, 0, 2, 2, 1)
 
     def test_moduli_match_golden(self):
-        # every prime q <= 29 and 1 <= m <= 14, one "q m c0,...,1" line each
+        # every prime q <= 29 and 1 <= m <= 14, then eight fields up to q near
+        # PRIME_LIMIT and m = M_LIMIT, one "q m c0,...,1" line each
         lines = (Path(__file__).parent / "golden" / "moduli.txt").read_text().splitlines()
-        assert len(lines) == 140
+        assert len(lines) == 148
         for line in lines:
             q, m, coeffs = line.split()
             want = tuple(int(c) for c in coeffs.split(","))
@@ -250,15 +274,12 @@ class TestFindIrreducible:
 
     def test_no_small_factor_by_trial_division(self):
         # divide by every monic polynomial of degree <= m/2
-        import itertools
-        from streamfec.gf import _poly_divmod
-
         for q, m in [(2, 4), (3, 4), (5, 3)]:
             f = list(find_irreducible(q, m))
             for deg in range(1, m // 2 + 1):
                 for lower in itertools.product(range(q), repeat=deg):
                     g = list(lower) + [1]
-                    assert _poly_divmod(f, g, q)[1] != [] or g == f
+                    assert _list_divmod(f, g, q)[1] != [] or g == f
 
     @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3) for m in range(2, 7)]
                              + [(q, m) for q in (5, 7) for m in range(2, 5)])
@@ -266,6 +287,16 @@ class TestFindIrreducible:
         irreducible = set(_brute_irreducibles(q, m))
         for cand in _monic_polys(q, m):
             assert is_irreducible(cand, q) == (cand in irreducible), cand
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 0, 1), (True, 0, 1), (4, 0, 1), (-2, 0, 1)],
+                             ids=["float", "bool", "above-q", "negative"])
+    def test_non_residue_coefficient_refused(self, coeffs):
+        # a float, a bool, a coefficient >= q and a negative one, over Z_3,
+        # alone and as GF's explicit modulus
+        with pytest.raises(FieldError, match="residues"):
+            is_irreducible(coeffs, 3)
+        with pytest.raises(FieldError, match="residues"):
+            GF(3, 2, coeffs)
 
     @pytest.mark.parametrize("q,m", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 5),
                                      (3, 6), (5, 3), (7, 3)])
@@ -377,6 +408,35 @@ def _nonzero_elements(f, sample):
     return out
 
 
+def _unpack(f, v):
+    """The trimmed coefficient list of a packed polynomial of any length."""
+    out = []
+    while v:
+        out.append(v & f._mask)
+        v >>= f._slot
+    return out
+
+
+@pytest.mark.parametrize("q,m", [(7, 9), (5, 9), (2, 24), (3317044064679887385961813, 2)])
+def test_divmod_matches_list_long_division(q, m):
+    """Field._divmod on packed operands of up to 2m - 1 slots is schoolbook
+    long division: the Barrett dividend by the modulus, dividends and
+    divisors with every slot at q - 1, and seeded ones of every degree."""
+    f = GF(q, m)
+    top, slots = q - 1, 2 * m - 1
+    cases = [([0] * (2 * m - 2) + [1], list(f.modulus)), ([], list(f.modulus))]
+    cases += [([top] * da, [top] * db) for da in (1, m, m + 1, slots)
+              for db in (1, 2, m + 1, slots)]
+    rng = random.Random(q * 100 + m)
+    for _ in range(300):
+        a = _trim([rng.randrange(q) for _ in range(rng.randrange(slots + 1))])
+        b = [rng.randrange(q) for _ in range(rng.randrange(slots))] + [rng.randrange(1, q)]
+        cases.append((a, b))
+    for a, b in cases:
+        quot, rem = f._divmod(f._pack(a), f._pack(b))
+        assert (_unpack(f, quot), _unpack(f, rem)) == _list_divmod(a, b, q), (a, b)
+
+
 class TestInverse:
     @pytest.mark.parametrize("q,m,sample", INVERSE_FIELDS)
     def test_equals_fermat_reference(self, q, m, sample):
@@ -402,10 +462,13 @@ class TestInverse:
         elems = _all_elements(ring)
         units = 0
         for a in elems[1:]:
-            r, s = ring._euclid(a)
+            r, quotients = ring._euclid(a)
             assert bool(r) == any(a * b == ring.one for b in elems), a
             if r:
-                assert s * a == ring(r[0]), a
+                s0, s1 = ring.zero, ring.one  # s_(i+1) = s_(i-1) - quot_i s_i
+                for quot in quotients:
+                    s0, s1 = s1, s0 - gf.FieldElement(ring, quot) * s1
+                assert s1 * a == ring(r), a
                 units += 1
         assert units == 4  # Z_3 x Z_3 has 4 units and 4 nonzero zero divisors
 
@@ -771,7 +834,7 @@ def _reduce_per_slot(f, v):
     q, s, mask = f.q, f._slot, f._mask
     lo, hi = v & f._low, v >> (s * f.m)
     for d in range(f.m, 2 * f.m - 1):
-        r = f._pack(gf._poly_divmod([0] * d + [1], f.modulus, q)[1])  # alpha^d mod the modulus
+        r = f._pack(_list_divmod([0] * d + [1], f.modulus, q)[1])  # alpha^d mod the modulus
         lo += (hi & mask) % q * r
         hi >>= s
     return sum(((lo >> (s * i)) & mask) % q << (s * i) for i in range(f.m))
